@@ -1,0 +1,352 @@
+// Golden fingerprints of the token-walk protocols (tier-1).
+//
+// The determinism suites compare thread counts, partitions and mux widths
+// against each other within one build, so a change that moves every
+// configuration's draw order the same way passes them. This suite pins the
+// absolute output instead: FNV-1a fingerprints of
+//
+//   * Phase 1 (ShortWalkPhaseProtocol): every holder's WalkStore::held list
+//     (source, seq, length, arrival_slot, in order) and, for the simple
+//     walk, TrajectoryStore::forward;
+//   * NaiveSegmentProtocol: destinations and the PositionTable;
+//   * MANY-RANDOM-WALKS through the StitchEngine (Phase 1, stitching,
+//     deferred tails and, for the simple walk, regeneration) and its naive
+//     fallback: destinations and positions;
+//   * each run's RunStats{rounds, messages, max_backlog}.
+//
+// Simple, lazy and Metropolis walks on a random regular graph, a cycle and
+// a lollipop, at executor widths {1, 2, 8} x both shard partitions. Every
+// configuration must reproduce the same constants.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "congest/network.hpp"
+#include "core/params.hpp"
+#include "core/protocols.hpp"
+#include "core/random_walks.hpp"
+#include "core/walk_state.hpp"
+#include "graph/algorithms.hpp"
+#include "graph/generators.hpp"
+#include "util/rng.hpp"
+
+namespace drw {
+namespace {
+
+/// 64-bit FNV-1a over little-endian words.
+class Fnv {
+ public:
+  void add(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (word >> (8 * byte)) & 0xffu;
+      hash_ *= 0x100000001b3ull;
+    }
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+void add_stats(Fnv& fnv, const congest::RunStats& stats) {
+  fnv.add(stats.rounds);
+  fnv.add(stats.messages);
+  fnv.add(stats.max_backlog);
+}
+
+std::uint64_t fingerprint(const core::WalkStore& store) {
+  Fnv fnv;
+  for (const auto& held : store.held) {
+    fnv.add(held.size());
+    for (const core::HeldToken& t : held) {
+      fnv.add(t.source);
+      fnv.add(t.seq);
+      fnv.add(t.length);
+      fnv.add(t.arrival_slot);
+    }
+  }
+  return fnv.value();
+}
+
+/// Keys are visited sorted, so the fingerprint covers map contents and
+/// every per-key hop order but not the hash map's bucket order.
+std::uint64_t fingerprint(const core::TrajectoryStore& trajectories) {
+  Fnv fnv;
+  for (const auto& map : trajectories.forward) {
+    std::vector<std::uint64_t> keys;
+    for (const auto& entry : map) keys.push_back(entry.first);
+    std::sort(keys.begin(), keys.end());
+    fnv.add(keys.size());
+    for (const std::uint64_t key : keys) {
+      const std::vector<core::ForwardHop>& hops = map.at(key);
+      fnv.add(key);
+      fnv.add(hops.size());
+      for (const core::ForwardHop& hop : hops) {
+        fnv.add(hop.hop);
+        fnv.add(hop.next_slot);
+      }
+    }
+  }
+  return fnv.value();
+}
+
+std::uint64_t fingerprint(const core::PositionTable& positions) {
+  Fnv fnv;
+  for (const auto& at : positions) {
+    fnv.add(at.size());
+    for (const core::WalkPosition& p : at) {
+      fnv.add(p.walk);
+      fnv.add(p.step);
+    }
+  }
+  return fnv.value();
+}
+
+std::uint64_t fingerprint(const std::vector<NodeId>& nodes) {
+  Fnv fnv;
+  fnv.add(nodes.size());
+  for (const NodeId v : nodes) fnv.add(v);
+  return fnv.value();
+}
+
+struct Fingerprints {
+  std::uint64_t phase1_held = 0;
+  std::uint64_t phase1_forward = 0;
+  std::uint64_t phase1_stats = 0;
+  std::uint64_t naive_destinations = 0;
+  std::uint64_t naive_positions = 0;
+  std::uint64_t naive_stats = 0;
+  std::uint64_t many_destinations = 0;
+  std::uint64_t many_positions = 0;
+  std::uint64_t many_stats = 0;
+  std::uint64_t fallback_destinations = 0;
+  std::uint64_t fallback_stats = 0;
+
+  bool operator==(const Fingerprints&) const = default;
+};
+
+std::string describe(const Fingerprints& f) {
+  char buf[512];
+  std::snprintf(buf, sizeof buf,
+                "{0x%016llxull, 0x%016llxull, 0x%016llxull, 0x%016llxull, "
+                "0x%016llxull, 0x%016llxull, 0x%016llxull, 0x%016llxull, "
+                "0x%016llxull, 0x%016llxull, 0x%016llxull}",
+                static_cast<unsigned long long>(f.phase1_held),
+                static_cast<unsigned long long>(f.phase1_forward),
+                static_cast<unsigned long long>(f.phase1_stats),
+                static_cast<unsigned long long>(f.naive_destinations),
+                static_cast<unsigned long long>(f.naive_positions),
+                static_cast<unsigned long long>(f.naive_stats),
+                static_cast<unsigned long long>(f.many_destinations),
+                static_cast<unsigned long long>(f.many_positions),
+                static_cast<unsigned long long>(f.many_stats),
+                static_cast<unsigned long long>(f.fallback_destinations),
+                static_cast<unsigned long long>(f.fallback_stats));
+  return buf;
+}
+
+enum class Topology { kRegular, kCycle, kLollipop };
+
+Graph make_graph(Topology topology) {
+  switch (topology) {
+    case Topology::kRegular: {
+      Rng rng(4242);
+      return gen::random_regular(48, 4, rng);
+    }
+    case Topology::kCycle:
+      return gen::cycle(21);
+    case Topology::kLollipop:
+      return gen::lollipop(9, 12);
+  }
+  return Graph();
+}
+
+/// Runs every fingerprinted workload on one freshly built network.
+Fingerprints run_all(const Graph& g, TransitionModel model, unsigned threads,
+                     congest::Partition partition) {
+  const auto configure = [&](congest::Network& net) {
+    net.set_threads(threads);
+    net.set_partition(partition);
+  };
+  const std::size_t n = g.node_count();
+  Fingerprints out;
+
+  // Phase 1: 2 * deg(v) short walks per node with lengths in [5, 10), plus
+  // a zero-length walk at node 0, so edge backlogs build up.
+  {
+    congest::Network net(g, 9001);
+    configure(net);
+    Rng lengths(17);
+    std::vector<core::ShortWalkPhaseProtocol::Job> jobs;
+    jobs.push_back({0, 0, 0});
+    for (NodeId v = 0; v < n; ++v) {
+      const std::uint32_t count = 2 * g.degree(v);
+      for (std::uint32_t i = 0; i < count; ++i) {
+        jobs.push_back({v, i + (v == 0 ? 1u : 0u),
+                        5 + static_cast<std::uint32_t>(lengths.next_below(5))});
+      }
+    }
+    core::WalkStore store(n);
+    core::TrajectoryStore trajectories(n);
+    const bool record = model == TransitionModel::kSimple;
+    core::ShortWalkPhaseProtocol phase1(g, std::move(jobs), store,
+                                        record ? &trajectories : nullptr,
+                                        model);
+    Fnv stats;
+    add_stats(stats, net.run(phase1));
+    out.phase1_held = fingerprint(store);
+    out.phase1_forward = fingerprint(trajectories);
+    out.phase1_stats = stats.value();
+  }
+
+  // Naive segments: overlapping starts, zero-length jobs, offsets and the
+  // per-job record / record_start switches.
+  {
+    congest::Network net(g, 9002);
+    configure(net);
+    std::vector<core::NaiveSegmentProtocol::Job> jobs;
+    for (std::uint32_t i = 0; i < 2 * n; ++i) {
+      core::NaiveSegmentProtocol::Job job;
+      job.start = static_cast<NodeId>((i * 5) % n);
+      job.steps = i % 11 == 3 ? 0 : 4 + (i * 7) % 19;
+      job.walk_id = i;
+      job.base_step = 3 * i;
+      job.record_start = i % 3 != 0;
+      job.record = i % 4 != 1;
+      jobs.push_back(job);
+    }
+    core::PositionTable positions(n);
+    core::NaiveSegmentProtocol naive(g, std::move(jobs), &positions, model);
+    Fnv stats;
+    add_stats(stats, net.run(naive));
+    out.naive_destinations = fingerprint(naive.destinations());
+    out.naive_positions = fingerprint(positions);
+    out.naive_stats = stats.value();
+  }
+
+  const std::uint32_t diameter = exact_diameter(g);
+  std::vector<NodeId> sources;
+  for (NodeId v = 0; v < 7; ++v) sources.push_back((v * 3) % n);
+
+  // MANY-RANDOM-WALKS: Phase 1, stitching and deferred naive tails (and
+  // regeneration where recording is supported).
+  {
+    congest::Network net(g, 9003);
+    configure(net);
+    core::Params params = core::Params::paper();
+    params.lambda_override = 4;
+    params.transition = model;
+    params.record_trajectories = model == TransitionModel::kSimple;
+    const core::ManyWalksOutput many =
+        core::many_random_walks(net, sources, 37, params, diameter);
+    EXPECT_FALSE(many.used_naive_fallback);
+    Fnv stats;
+    add_stats(stats, many.stats);
+    out.many_destinations = fingerprint(many.destinations);
+    out.many_positions = fingerprint(many.positions);
+    out.many_stats = stats.value();
+  }
+
+  // The naive fallback (lambda > l): all walks as one token run.
+  {
+    congest::Network net(g, 9004);
+    configure(net);
+    core::Params params = core::Params::paper();
+    params.lambda_override = 64;
+    params.transition = model;
+    const core::ManyWalksOutput many =
+        core::many_random_walks(net, sources, 29, params, diameter);
+    EXPECT_TRUE(many.used_naive_fallback);
+    Fnv stats;
+    add_stats(stats, many.stats);
+    out.fallback_destinations = fingerprint(many.destinations);
+    out.fallback_stats = stats.value();
+  }
+  return out;
+}
+
+struct GoldenCase {
+  Topology topology;
+  TransitionModel model;
+  const char* name;
+  Fingerprints expected;
+};
+
+// Captured from the generic per-node on_round implementation that
+// preceded the token-walk kernel.
+const GoldenCase kGolden[] = {
+    {Topology::kRegular, TransitionModel::kSimple, "regular/simple",
+     {0x5800a2259ab1253aull, 0x00394f12678e80deull, 0x6e17d699ddf6cf9bull,
+      0x54fef31ece8729cfull, 0x9328b80fc0ffb285ull, 0x5fc71c1be78e27abull,
+      0x741e54458bf09d77ull, 0x946ebfad78b62bb4ull, 0x6365c8ddf654c4f4ull,
+      0x6af5c470f1552386ull, 0xedbff76dc606c092ull}},
+    {Topology::kRegular, TransitionModel::kLazy, "regular/lazy",
+     {0x6717d95ab65b9c2full, 0xc86ec345c0ee8125ull, 0x947447076a4260c4ull,
+      0xc72194ea0f0ce551ull, 0x28c5249e6b5d864dull, 0xb587c79b1445ff5full,
+      0x10f51a81106a009aull, 0xcbf29ce484222325ull, 0x12b7525de8c83854ull,
+      0xa9fce80fe16489cfull, 0x137c58825ef3c37bull}},
+    {Topology::kRegular, TransitionModel::kMetropolisUniform,
+     "regular/metropolis",
+     {0x5800a2259ab1253aull, 0xc86ec345c0ee8125ull, 0x6e17d699ddf6cf9bull,
+      0x54fef31ece8729cfull, 0x9328b80fc0ffb285ull, 0x5fc71c1be78e27abull,
+      0x741e54458bf09d77ull, 0xcbf29ce484222325ull, 0x682e09a913079f21ull,
+      0x6af5c470f1552386ull, 0xedbff76dc606c092ull}},
+    {Topology::kCycle, TransitionModel::kSimple, "cycle/simple",
+     {0xf924477cb4209f45ull, 0x55954e33248b850cull, 0x587edf9de0531dcfull,
+      0x666683ec13048ed1ull, 0x92c5f9680cd4b860ull, 0x5f190a417df724edull,
+      0x456ba852ce8b955aull, 0xeb3a63d46287a456ull, 0x894a322c364c1e62ull,
+      0x0c78ba2a75adc479ull, 0xe41f5dcbb9532733ull}},
+    {Topology::kCycle, TransitionModel::kLazy, "cycle/lazy",
+     {0x4bce607fff8c752dull, 0x35da762063936645ull, 0x8c201f8c86ca0082ull,
+      0xd57d1b23d0949216ull, 0xb2cfcdb5bbca804eull, 0x88492b8c396f3323ull,
+      0xa2b886a891312b29ull, 0xcbf29ce484222325ull, 0x14cbb5cf2693f62dull,
+      0xff0f246ba4954b76ull, 0x52e393c2feab880cull}},
+    {Topology::kCycle, TransitionModel::kMetropolisUniform,
+     "cycle/metropolis",
+     {0xf924477cb4209f45ull, 0x35da762063936645ull, 0x587edf9de0531dcfull,
+      0x666683ec13048ed1ull, 0x92c5f9680cd4b860ull, 0x5f190a417df724edull,
+      0x456ba852ce8b955aull, 0xcbf29ce484222325ull, 0x3dbb7d0bd67ecb15ull,
+      0x0c78ba2a75adc479ull, 0xe41f5dcbb9532733ull}},
+    {Topology::kLollipop, TransitionModel::kSimple, "lollipop/simple",
+     {0x7b1cc18265fd5682ull, 0xd5d3f068652c34efull, 0xbfa13370b7a64d12ull,
+      0xd315efc835a06835ull, 0xf18f6bf5038377b8ull, 0x1228e0509401a0a7ull,
+      0xe34968731337ef3bull, 0x8c11cd5a7a1a14beull, 0x6d794132482b502full,
+      0xfbced6eeb552e20cull, 0x7650dc5123980cacull}},
+    {Topology::kLollipop, TransitionModel::kLazy, "lollipop/lazy",
+     {0x0a59c9d44a5df4beull, 0x35da762063936645ull, 0x39a6c0d6abc7a507ull,
+      0x063edd04b2640e90ull, 0xa2517bf3795238daull, 0x164f2372f1cc92e6ull,
+      0xa18c31d2eb937e90ull, 0xcbf29ce484222325ull, 0x743050872122d022ull,
+      0x3f6702f6809bdf7aull, 0x7fd09a1f1753984full}},
+    {Topology::kLollipop, TransitionModel::kMetropolisUniform,
+     "lollipop/metropolis",
+     {0x897d5c9e02ce9ca2ull, 0x35da762063936645ull, 0xdc9cc1309fd075c5ull,
+      0x6df5aab993bef26cull, 0x33c5a45441b19db8ull, 0x93e07e8484c3c051ull,
+      0xf5303ff3dda702bbull, 0xcbf29ce484222325ull, 0x1c8292608718ccb8ull,
+      0xfdee0cd93579430bull, 0x6b1b5cd085a839fcull}},
+};
+
+TEST(Golden, TokenWalkOutputsMatchPinnedFingerprints) {
+  const unsigned kThreads[] = {1, 2, 8};
+  const congest::Partition kPartitions[] = {congest::Partition::kEdgeWeighted,
+                                            congest::Partition::kNodeCount};
+  for (const GoldenCase& c : kGolden) {
+    const Graph g = make_graph(c.topology);
+    for (const unsigned threads : kThreads) {
+      for (const congest::Partition partition : kPartitions) {
+        const Fingerprints got = run_all(g, c.model, threads, partition);
+        EXPECT_TRUE(got == c.expected)
+            << c.name << " threads=" << threads << " partition="
+            << (partition == congest::Partition::kNodeCount ? "nodes"
+                                                             : "edges")
+            << "\n  got " << describe(got);
+      }
+    }
+  }
+}
+
+}  // namespace
+}  // namespace drw
