@@ -15,7 +15,10 @@
 //     need no locks or atomics at all.
 //
 // The arena itself is single-threaded per shard; all cross-shard discipline
-// lives in congest::Network's round executor.
+// lives in congest::Network's round executor. It is a template over the
+// queued record: generic runs queue 48-byte Messages (EdgeArena), the
+// token-walk kernel queues 16-byte KernelTokens with its per-edge routing
+// data as the queue tag (Network::TokenArena).
 #pragma once
 
 #include <array>
@@ -26,24 +29,36 @@
 
 namespace drw::congest {
 
-class EdgeArena {
+/// The default per-edge tag: nothing.
+struct NoEdgeTag {};
+
+/// `Tag` is an optional per-edge payload kept beside the edge's queue
+/// header (same cache line), e.g. the routing data a delivery needs; it
+/// survives reset() and draining and is left to the owner to fill.
+template <typename Record, std::uint32_t Cap, typename Tag = NoEdgeTag>
+class BasicEdgeArena {
  public:
-  /// Messages per chunk: sized so a chunk (12 * 40B + link) spans a small
-  /// fixed number of cache lines while short backlogs (the common case --
-  /// one token queued per edge) waste little space.
-  static constexpr std::uint32_t kChunkCap = 12;
+  /// Records per chunk: sized so a chunk (Cap * sizeof(Record) + link,
+  /// cache-line aligned) spans a small fixed number of cache lines while
+  /// short backlogs (the common case -- one token queued per edge) waste
+  /// little space.
+  static constexpr std::uint32_t kChunkCap = Cap;
 
   /// Re-initializes for `edge_count` directed edges and `shard_count` owner
-  /// pools. Drops all queued messages and pooled chunks.
+  /// pools. Drops all queued messages and pooled chunks; the tags of edges
+  /// below the old edge count are kept.
   void reset(std::size_t edge_count, unsigned shard_count) {
-    queues_.assign(edge_count, Queue{});
+    queues_.resize(edge_count);
+    for (Queue& q : queues_) q.clear();
     pools_.assign(shard_count, Pool{});
   }
+
+  Tag& tag(std::uint32_t eid) noexcept { return queues_[eid].tag; }
 
   /// Appends to edge `eid`'s FIFO. `shard` must be the edge's owner shard.
   /// Returns the queue depth after the push (1 == the edge was idle), so the
   /// merge loop needs no separate size() lookups on its hottest path.
-  std::uint32_t push(unsigned shard, std::uint32_t eid, const Message& m) {
+  std::uint32_t push(unsigned shard, std::uint32_t eid, const Record& m) {
     Pool& pool = pools_[shard];
     Queue& q = queues_[eid];
     if (q.tail == kNil) {
@@ -61,14 +76,14 @@ class EdgeArena {
   }
 
   /// Pops the front of edge `eid`'s FIFO. Precondition: size(eid) > 0.
-  Message pop(unsigned shard, std::uint32_t eid) {
+  Record pop(unsigned shard, std::uint32_t eid) {
     Pool& pool = pools_[shard];
     Queue& q = queues_[eid];
     Chunk& head = pool.chunks[q.head];
-    const Message m = head.slot[q.head_off++];
+    const Record m = head.slot[q.head_off++];
     if (--q.size == 0) {
       release(pool, q.head);  // head == tail when the queue drains
-      q = Queue{};
+      q.clear();
     } else if (q.head_off == kChunkCap) {
       const std::uint32_t next = head.next;
       release(pool, q.head);
@@ -92,7 +107,7 @@ class EdgeArena {
       release(pool, c);
       c = next;
     }
-    q = Queue{};
+    q.clear();
   }
 
   /// True iff no edge has queued messages (post-run invariant check).
@@ -106,8 +121,8 @@ class EdgeArena {
  private:
   static constexpr std::uint32_t kNil = static_cast<std::uint32_t>(-1);
 
-  struct Chunk {
-    std::array<Message, kChunkCap> slot;
+  struct alignas(64) Chunk {
+    std::array<Record, kChunkCap> slot;
     std::uint32_t next = kNil;
   };
   struct Pool {
@@ -120,6 +135,14 @@ class EdgeArena {
     std::uint32_t size = 0;
     std::uint16_t head_off = 0;
     std::uint16_t tail_off = 0;
+    [[no_unique_address]] Tag tag{};
+
+    /// Empties the FIFO state; the tag stays.
+    void clear() noexcept {
+      head = tail = kNil;
+      size = 0;
+      head_off = tail_off = 0;
+    }
   };
 
   static std::uint32_t alloc(Pool& pool) {
@@ -141,5 +164,8 @@ class EdgeArena {
   std::vector<Queue> queues_;  // per directed edge
   std::vector<Pool> pools_;    // per owner shard
 };
+
+/// Generic runs: a chunk is 12 * 48B Messages + link.
+using EdgeArena = BasicEdgeArena<Message, 12>;
 
 }  // namespace drw::congest

@@ -27,6 +27,20 @@ struct Message {
 };
 static_assert(sizeof(Message) <= 48, "Message must stay O(log n) bits");
 
+/// The fixed-width record of the token-walk kernel (see network.hpp
+/// TokenKernelProtocol): one walk token in flight, 16 bytes, no type tag or
+/// lane. Field meaning belongs to the protocol: Phase 1 carries (source,
+/// seq, total length, remaining hops), a naive walk (job index, -, -,
+/// remaining hops). Every field is a node id or walk counter -- O(log n)
+/// bits, like a Message payload.
+struct KernelToken {
+  std::uint32_t id = 0;
+  std::uint32_t seq = 0;
+  std::uint32_t total = 0;
+  std::uint32_t remaining = 0;
+};
+static_assert(sizeof(KernelToken) == 16, "KernelToken is the 16-byte record");
+
 /// A delivered message together with the neighbor it arrived from (the
 /// CONGEST model lets the receiver identify the incoming edge).
 struct Delivery {

@@ -23,6 +23,11 @@ unsigned ProtocolMux::add_lane(Protocol& protocol,
   if (lane_rngs != nullptr && lane_rngs->size() != node_count_) {
     throw std::invalid_argument("ProtocolMux: lane rng size mismatch");
   }
+  if (dynamic_cast<TokenKernelProtocol*>(&protocol) != nullptr) {
+    throw std::logic_error(
+        "ProtocolMux: token-walk protocols run on the Network kernel and "
+        "cannot be a mux lane");
+  }
   lanes_.push_back(Lane{&protocol, lane_rngs});
   return static_cast<unsigned>(lanes_.size() - 1);
 }

@@ -60,6 +60,8 @@ class ProtocolMux final : public Protocol {
   /// `lane_rngs` (owned by the caller, outliving the run) supplies the
   /// lane's per-node random streams; nullptr shares the network's streams
   /// -- only isolation-preserving for protocols that draw no randomness.
+  /// Throws std::logic_error for a TokenKernelProtocol (kernel protocols
+  /// have no on_round to dispatch per lane).
   unsigned add_lane(Protocol& protocol, std::vector<Rng>* lane_rngs);
 
   unsigned lane_count() const noexcept {

@@ -188,6 +188,41 @@ std::span<const Delivery> Context::lane_inbox(
                             net_->lane_inbox_stride_ + lane]);
 }
 
+// -------------------------------------------------------- TokenKernelProtocol
+
+void TokenKernelProtocol::on_round(Context&) {
+  throw std::logic_error(
+      "TokenKernelProtocol: token-walk protocols run on the Network kernel "
+      "with one lane (not through on_round, a ProtocolMux or "
+      "run_multiplexed with lanes > 1)");
+}
+
+void TokenKernelProtocol::set_launches(std::size_t node_count,
+                                     std::span<const NodeId> origins,
+                                     std::span<const KernelToken> tokens) {
+  if (origins.size() != tokens.size()) {
+    throw std::invalid_argument(
+        "TokenKernelProtocol::set_launches: origins/tokens size mismatch");
+  }
+  // Stable counting sort by origin.
+  launch_begin_.assign(node_count + 1, 0);
+  for (const NodeId v : origins) {
+    if (v >= node_count) {
+      throw std::invalid_argument(
+          "TokenKernelProtocol::set_launches: origin is not a node");
+    }
+    ++launch_begin_[v + 1];
+  }
+  for (std::size_t v = 0; v < node_count; ++v) {
+    launch_begin_[v + 1] += launch_begin_[v];
+  }
+  launch_tokens_.resize(tokens.size());
+  std::vector<std::size_t> fill(launch_begin_.begin(), launch_begin_.end() - 1);
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    launch_tokens_[fill[origins[i]]++] = tokens[i];
+  }
+}
+
 // --------------------------------------------------------------- WorkerPool
 
 /// A persistent pool of workers_ - 1 threads; the driver thread acts as
@@ -302,6 +337,32 @@ Network::Network(const Graph& g, std::uint64_t seed)
   inbox_.resize(n);
   inbox_total_.assign(n, 0);
   wake_flag_.assign(n, 0);
+
+  // Token-walk kernel: receiver-ordered edge indices (the reverse-edge
+  // table) and their KernelEdge entries, kept in the token FIFOs' tags,
+  // which every later executor rebuild preserves.
+  arrival_begin_.assign(n + 1, 0);
+  for (const std::uint64_t ep : edge_endpoints_) {
+    ++arrival_begin_[(ep & 0xffffffffu) + 1];
+  }
+  for (std::size_t v = 0; v < n; ++v) {
+    arrival_begin_[v + 1] += arrival_begin_[v];
+  }
+  arrival_count_.assign(n, 0);
+  in_edge_.resize(edge_endpoints_.size());
+  token_arena_.reset(edge_endpoints_.size(), 1);
+  for (std::size_t eid = 0; eid < edge_endpoints_.size(); ++eid) {
+    const auto to = static_cast<NodeId>(edge_endpoints_[eid] & 0xffffffffu);
+    const auto from = static_cast<NodeId>(edge_endpoints_[eid] >> 32);
+    // arrival_count_ doubles as the per-receiver fill cursor here.
+    in_edge_[eid] = arrival_begin_[to] + arrival_count_[to]++;
+    KernelEdge& e = token_arena_.tag(in_edge_[eid]);
+    e.to = to;
+    e.slot = g.slot_of(to, from);
+  }
+  arrival_count_.assign(n, 0);
+  arrival_.resize(g.directed_edge_count());
+  staying_.resize(n);
 }
 
 Network::~Network() = default;
@@ -340,6 +401,9 @@ std::uint32_t Network::resolve_steal_chunk() const noexcept {
   if (steal_chunk_setting_ != 0) return steal_chunk_setting_;
   const std::uint32_t env = env_steal_chunk();
   if (env != 0) return env;
+  // A single worker has nobody to steal from: one chunk per shard round
+  // saves the per-chunk cuts, segment marks and replay sort.
+  if (workers_ == 1) return 1u << 30;
   // Auto: a fraction of the dispatch grain, so a round that barely
   // justifies the pool still splits into several stealable pieces, while
   // wide rounds do not drown in cursor traffic.
@@ -476,6 +540,7 @@ void Network::ensure_executor() {
   // the contiguous block [l * E, (l + 1) * E), so narrower runs just leave
   // the upper blocks idle.
   arena_.reset(graph_->directed_edge_count() * arena_lanes_, workers_);
+  token_arena_.reset(graph_->directed_edge_count(), workers_);
   // One fused-transmit mark per virtual edge. assign(0) on rebuild is
   // safe: the never-reset transmit stamp keeps all live tags above 0.
   edge_mark_.assign(graph_->directed_edge_count() * arena_lanes_, 0);
@@ -487,6 +552,9 @@ void Network::ensure_executor() {
   token_staged_.assign(workers_, std::vector<TokenColumns>(workers_));
   seg_marks_.assign(workers_, std::vector<std::vector<SegMark>>(workers_));
   wake_staged_.assign(workers_, std::vector<std::vector<NodeId>>(workers_));
+  token_stage_.assign(static_cast<std::size_t>(workers_) * workers_,
+                      TokenStage{});
+  stay_scratch_.assign(workers_, {});
 
   // Round-0 chunking: every node is active with an empty inbox, so weight
   // by 1 + degree (initialization work -- e.g. Phase 1 seeding eta*deg
@@ -547,12 +615,18 @@ void Network::stage_send(unsigned worker, NodeId from, std::uint32_t slot,
   ++lane.sends;
 }
 
-void Network::stage_wake(unsigned worker, NodeId self) {
-  if (!wake_flag_[self]) {
-    wake_flag_[self] = 1;
-    wake_staged_[worker][node_shard_[self]].push_back(self);
-    ++lanes_[worker].wakes;
-  }
+void Network::TokenStage::open(std::uint64_t chunk) {
+  marks.push_back(SegMark{chunk, count, 0});
+  open_chunk = chunk;
+}
+
+void Network::TokenStage::grow() {
+  tokens.resize(tokens.size() < 64 ? 64 : 2 * tokens.size());
+}
+
+void Network::stage_stay(unsigned worker, NodeId v, const TokenArrival& a) {
+  staying_[v].push_back(a);
+  stage_wake(worker, v);
 }
 
 void Network::dispatch(std::size_t work,
@@ -573,14 +647,9 @@ void Network::dispatch(std::size_t work,
   pool_->run([this, phase](unsigned s) { (this->*phase)(s); });
 }
 
-void Network::compute_phase(unsigned worker) {
-  obs::Span span(obs::Name::kComputeWorker, obs::kPidExecutor,
-                 static_cast<std::uint16_t>(worker));
+template <class Body>
+void Network::claim_chunks(unsigned worker, Body&& body) {
   WorkerLane& lane = lanes_[worker];
-  Context ctx;
-  ctx.net_ = this;
-  ctx.round_ = round_;
-  ctx.worker_ = worker;
   // Drain the own shard's chunks first (cache locality: its active nodes,
   // inboxes and arena pages are this worker's), then sweep the other
   // shards claiming whatever their owners have not reached yet. Chunks are
@@ -598,36 +667,134 @@ void Network::compute_phase(unsigned worker) {
       if (c >= chunks) break;
       if (i != 0 && parallel_round_) ++lane.steals;
       lane.chunk = (static_cast<std::uint64_t>(s) << 32) | c;
-      const std::uint32_t begin = c == 0 ? 0 : sh.chunk_end[c - 1];
-      const std::uint32_t end = sh.chunk_end[c];
-      for (std::uint32_t idx = begin; idx < end; ++idx) {
-        const NodeId v = sh.active[idx];
-        if (lane_inboxes_on_) {
-          // Per-lane inboxes: the protocol demultiplexes itself through
-          // Context::lane_inbox; the mixed inbox() stays empty.
-          lane.deliveries += inbox_total_[v];
-          ctx.self_ = v;
-          ctx.inbox_ = std::span<const Delivery>();
-          running_->on_round(ctx);
-          if (inbox_total_[v] != 0) {
-            const std::size_t base =
-                static_cast<std::size_t>(v) * lane_inbox_stride_;
-            for (unsigned l = 0; l < lane_inbox_stride_; ++l) {
-              lane_inbox_[base + l].clear();
-            }
-            inbox_total_[v] = 0;
-          }
-        } else {
-          std::vector<Delivery>& in = inbox_[v];
-          lane.deliveries += in.size();
-          ctx.self_ = v;
-          ctx.inbox_ = std::span<const Delivery>(in);
-          running_->on_round(ctx);
-          in.clear();
-        }
-      }
+      body(sh, c == 0 ? 0 : sh.chunk_end[c - 1], sh.chunk_end[c]);
     }
   }
+}
+
+void Network::compute_phase(unsigned worker) {
+  obs::Span span(obs::Name::kComputeWorker, obs::kPidExecutor,
+                 static_cast<std::uint16_t>(worker));
+  WorkerLane& lane = lanes_[worker];
+  Context ctx;
+  ctx.net_ = this;
+  ctx.round_ = round_;
+  ctx.worker_ = worker;
+  claim_chunks(worker, [&](Shard& sh, std::uint32_t begin,
+                           std::uint32_t end) {
+    for (std::uint32_t idx = begin; idx < end; ++idx) {
+      const NodeId v = sh.active[idx];
+      if (lane_inboxes_on_) {
+        // Per-lane inboxes: the protocol demultiplexes itself through
+        // Context::lane_inbox; the mixed inbox() stays empty.
+        lane.deliveries += inbox_total_[v];
+        ctx.self_ = v;
+        ctx.inbox_ = std::span<const Delivery>();
+        running_->on_round(ctx);
+        if (inbox_total_[v] != 0) {
+          const std::size_t base =
+              static_cast<std::size_t>(v) * lane_inbox_stride_;
+          for (unsigned l = 0; l < lane_inbox_stride_; ++l) {
+            lane_inbox_[base + l].clear();
+          }
+          inbox_total_[v] = 0;
+        }
+      } else {
+        std::vector<Delivery>& in = inbox_[v];
+        lane.deliveries += in.size();
+        ctx.self_ = v;
+        ctx.inbox_ = std::span<const Delivery>(in);
+        running_->on_round(ctx);
+        in.clear();
+      }
+    }
+  });
+}
+
+void Network::kernel_compute_phase(unsigned worker) {
+  obs::Span span(obs::Name::kComputeWorker, obs::kPidExecutor,
+                 static_cast<std::uint16_t>(worker));
+  // One virtual call per chunk; the protocol's run_chunk instantiates
+  // visit_tokens for its own type, so the steps are direct calls.
+  claim_chunks(worker, [&](Shard& sh, std::uint32_t begin,
+                           std::uint32_t end) {
+    kernel_->run_chunk(TokenKernelProtocol::Chunk{
+        this, worker,
+        std::span<const NodeId>(sh.active.data() + begin, end - begin)});
+  });
+}
+
+template <class Arena, class Pending>
+void Network::close_transmit(unsigned shard, const Arena& arena,
+                             Pending&& pending) {
+  Shard& sh = shards_[shard];
+  // Pass C -- rebuild the busy list. Branch-free compaction: whether an
+  // edge is still backlogged is a coin flip the predictor cannot learn.
+  std::size_t keep = 0;
+  sh.busy.resize(sh.busy.size() + sh.fresh_scratch.size());
+  std::uint32_t* const busy = sh.busy.data();
+  const std::size_t old_busy = sh.busy.size() - sh.fresh_scratch.size();
+  for (std::size_t i = 0; i < old_busy; ++i) {
+    const std::uint32_t eid = busy[i];
+    busy[keep] = eid;
+    keep += arena.size(eid) != 0;
+  }
+  for (const std::uint32_t eid : sh.fresh_scratch) {
+    busy[keep] = eid;
+    keep += arena.size(eid) != 0;
+  }
+  sh.busy.resize(keep);
+  sh.fresh_scratch.clear();
+
+  // Assemble the next round's active list (delivered nodes + staged wakes,
+  // deduplicated in ascending order) and chunk it for stealing, so the
+  // next compute phase starts without an extra barrier. Wake flags stay
+  // set through the assembly: on dense rounds one ascending sweep of the
+  // shard's contiguous node range reads them alongside inbox occupancy
+  // (nonempty iff delivered this round -- compute cleared every inbox it
+  // visited) and yields the sorted deduplicated list with no sort at all;
+  // sparse rounds keep the sort + unique, which wins when the shard range
+  // dwarfs the touched set.
+  sh.wake_scratch.clear();
+  for (unsigned w = 0; w < workers_; ++w) {
+    for (const NodeId v : wake_staged_[w][shard]) {
+      sh.wake_scratch.push_back(v);
+    }
+    wake_staged_[w][shard].clear();
+  }
+  sh.active.clear();
+  const NodeId node_begin = shard_begin_[shard];
+  const NodeId node_end = shard_begin_[shard + 1];
+  const std::size_t touched = sh.delivered.size() + sh.wake_scratch.size();
+  if (touched * 8 >= static_cast<std::size_t>(node_end - node_begin)) {
+    sh.active.resize(node_end - node_begin);
+    std::size_t count = 0;
+    for (NodeId v = node_begin; v < node_end; ++v) {
+      sh.active[count] = v;
+      count += (pending(v) != 0) | (wake_flag_[v] != 0);
+    }
+    sh.active.resize(count);
+  } else {
+    sh.active.insert(sh.active.end(), sh.delivered.begin(),
+                     sh.delivered.end());
+    sh.active.insert(sh.active.end(), sh.wake_scratch.begin(),
+                     sh.wake_scratch.end());
+    std::sort(sh.active.begin(), sh.active.end());
+    sh.active.erase(std::unique(sh.active.begin(), sh.active.end()),
+                    sh.active.end());
+  }
+  for (const NodeId v : sh.wake_scratch) wake_flag_[v] = 0;
+
+  // Weight by pending deliveries: the dominant per-node compute cost is
+  // walking them, and it is known exactly here. A hub with a flooded inbox
+  // lands alone in its own chunk, so thieves can take everything else.
+  sh.chunk_end.clear();
+  sh.work = cut_chunks(
+      steal_chunk_, static_cast<std::uint32_t>(sh.active.size()),
+      [&](std::uint32_t idx) {
+        return std::uint64_t{1} + pending(sh.active[idx]);
+      },
+      sh.chunk_end);
 }
 
 void Network::transmit_phase(unsigned shard) {
@@ -819,91 +986,138 @@ void Network::transmit_phase(unsigned shard) {
                static_cast<std::uint16_t>(shard), round_max);
   }
 
-  // Pass C -- rebuild the busy list.
-  std::size_t keep = 0;
-  for (const std::uint32_t eid : sh.busy) {
-    if (arena_.size(eid) != 0) sh.busy[keep++] = eid;
-  }
-  sh.busy.resize(keep);
-  for (const std::uint32_t eid : sh.fresh_scratch) {
-    if (arena_.size(eid) != 0) sh.busy.push_back(eid);
-  }
-  sh.fresh_scratch.clear();
-
-  // Assemble the next round's active list (delivered nodes + staged wakes,
-  // deduplicated in ascending order) and chunk it for stealing, so the
-  // next compute phase starts without an extra barrier. Wake flags stay
-  // set through the assembly: on dense rounds one ascending sweep of the
-  // shard's contiguous node range reads them alongside inbox occupancy
-  // (nonempty iff delivered this round -- compute cleared every inbox it
-  // visited) and yields the sorted deduplicated list with no sort at all;
-  // sparse rounds keep the sort + unique, which wins when the shard range
-  // dwarfs the touched set.
-  sh.wake_scratch.clear();
-  for (unsigned w = 0; w < workers_; ++w) {
-    for (const NodeId v : wake_staged_[w][shard]) {
-      sh.wake_scratch.push_back(v);
-    }
-    wake_staged_[w][shard].clear();
-  }
-  sh.active.clear();
-  const NodeId node_begin = shard_begin_[shard];
-  const NodeId node_end = shard_begin_[shard + 1];
-  const std::size_t touched = sh.delivered.size() + sh.wake_scratch.size();
-  if (touched * 8 >= static_cast<std::size_t>(node_end - node_begin)) {
-    if (lane_inboxes_on_) {
-      for (NodeId v = node_begin; v < node_end; ++v) {
-        if (inbox_total_[v] != 0 || wake_flag_[v] != 0) {
-          sh.active.push_back(v);
-        }
-      }
-    } else {
-      for (NodeId v = node_begin; v < node_end; ++v) {
-        if (!inbox_[v].empty() || wake_flag_[v] != 0) {
-          sh.active.push_back(v);
-        }
-      }
-    }
+  if (lane_inboxes_on_) {
+    close_transmit(shard, arena_, [this](NodeId v) -> std::size_t {
+      return inbox_total_[v];
+    });
   } else {
-    sh.active.insert(sh.active.end(), sh.delivered.begin(),
-                     sh.delivered.end());
-    sh.active.insert(sh.active.end(), sh.wake_scratch.begin(),
-                     sh.wake_scratch.end());
-    std::sort(sh.active.begin(), sh.active.end());
-    sh.active.erase(std::unique(sh.active.begin(), sh.active.end()),
-                    sh.active.end());
+    close_transmit(shard, arena_,
+                   [this](NodeId v) { return inbox_[v].size(); });
   }
-  for (const NodeId v : sh.wake_scratch) wake_flag_[v] = 0;
-  chunk_active_list(sh);
 }
 
-void Network::chunk_active_list(Shard& sh) {
-  // Weight by pending deliveries: the dominant on_round cost is walking
-  // the inbox, and it is known exactly here. A hub with a flooded inbox
-  // lands alone in its own chunk, so thieves can take everything else.
-  sh.chunk_end.clear();
-  if (lane_inboxes_on_) {
-    sh.work = cut_chunks(
-        steal_chunk_, static_cast<std::uint32_t>(sh.active.size()),
-        [&](std::uint32_t idx) {
-          return std::uint64_t{1} + inbox_total_[sh.active[idx]];
-        },
-        sh.chunk_end);
-  } else {
-    sh.work = cut_chunks(
-        steal_chunk_, static_cast<std::uint32_t>(sh.active.size()),
-        [&](std::uint32_t idx) {
-          return std::uint64_t{1} + inbox_[sh.active[idx]].size();
-        },
-        sh.chunk_end);
+void Network::kernel_transmit_phase(unsigned shard) {
+  // The fused pass of transmit_phase over kernel tokens: same passes, same
+  // busy / fresh marks and depth accounting, 16-byte tokens instead of
+  // Messages, the edge's KernelEdge entry (target, arrival slot, mark)
+  // instead of edge_endpoints_ / edge_mark_ and a sender id, and one
+  // staging stream instead of two.
+  obs::Span span(obs::Name::kTransmitFusedShard, obs::kPidExecutor,
+                 static_cast<std::uint16_t>(shard));
+  Shard& sh = shards_[shard];
+  sh.transmitted = 0;
+  const std::uint64_t busy_tag = transmit_stamp_ * 2;
+  const std::uint64_t fresh_tag = busy_tag + 1;
+
+  // Each owned node enters the delivered list at most once per round, so
+  // it is appended branch-free into a scratch buffer sized for the whole
+  // shard: every arrival writes at the current end, only a node's first
+  // one advances it (hence one spare slot). The buffer only grows, so a
+  // thin round costs what it delivers, not the shard's size.
+  const std::size_t shard_nodes = shard_begin_[shard + 1] - shard_begin_[shard];
+  if (sh.arrived.size() < shard_nodes + 1) sh.arrived.resize(shard_nodes + 1);
+  NodeId* const delivered = sh.arrived.data();
+  std::size_t delivered_count = 0;
+  const auto deliver = [&](const KernelEdge& e, const KernelToken& t) {
+    const std::uint32_t k = arrival_count_[e.to]++;
+    delivered[delivered_count] = e.to;
+    delivered_count += k == 0;
+    arrival_[arrival_begin_[e.to] + k] = TokenArrival{t, e.slot};
+    ++sh.transmitted;
+  };
+
+  // Pass A -- drain the backlog front.
+  for (const std::uint32_t edge : sh.busy) {
+    KernelEdge& e = token_arena_.tag(edge);
+    e.mark = busy_tag;
+    deliver(e, token_arena_.pop(shard, edge));
   }
+
+  // Pass B -- replay staged tokens in ascending global chunk order.
+  std::vector<Segment>& segments = sh.merge_scratch;
+  segments.clear();
+  for (unsigned w = 0; w < workers_; ++w) {
+    const TokenStage& stage = token_stage_[w * workers_ + shard];
+    const std::vector<SegMark>& marks = stage.marks;
+    const std::uint32_t bucket_size = stage.count;
+    for (std::size_t k = 0; k < marks.size(); ++k) {
+      const std::uint32_t end =
+          k + 1 < marks.size() ? marks[k + 1].begin : bucket_size;
+      segments.push_back(Segment{marks[k].chunk, w, marks[k].begin, end, 0, 0});
+    }
+  }
+  if (!segments.empty()) {
+    obs::Span merge_span(obs::Name::kMergeShard, obs::kPidExecutor,
+                         static_cast<std::uint16_t>(shard));
+    const auto merge_start = Clock::now();
+    std::sort(segments.begin(), segments.end(),
+              [](const Segment& a, const Segment& b) {
+                return a.chunk < b.chunk;
+              });
+    // Classify first, then act: whether a token is its edge's first this
+    // round is unpredictable, so the replay marks edges and splits the
+    // tokens into the fresh (delivered) and the queued list branch-free,
+    // each kept in canonical order -- deliveries and FIFO pushes touch
+    // disjoint state, so running them as two loops changes nothing.
+    std::size_t staged = 0;
+    for (const Segment& seg : segments) staged += seg.end - seg.begin;
+    sh.fresh_scratch.resize(staged);
+    sh.fresh_tokens.resize(staged);
+    sh.queued_tokens.resize(staged);
+    std::size_t fresh = 0;
+    std::size_t queued = 0;
+    for (const Segment& seg : segments) {
+      const StagedToken* bucket =
+          token_stage_[seg.worker * workers_ + shard].tokens.data();
+      for (std::uint32_t k = seg.begin; k < seg.end; ++k) {
+        // busy_tag is even and fresh_tag = busy_tag + 1: the edge already
+        // moved a token this round iff (mark | 1) == fresh_tag.
+        KernelEdge& e = token_arena_.tag(bucket[k].edge);
+        const bool first = (e.mark | 1) != fresh_tag;
+        e.mark = first ? fresh_tag : e.mark;
+        sh.fresh_scratch[fresh] = bucket[k].edge;
+        sh.fresh_tokens[fresh] = &bucket[k];
+        sh.queued_tokens[queued] = &bucket[k];
+        fresh += first;
+        queued += !first;
+      }
+    }
+    sh.fresh_scratch.resize(fresh);
+    for (std::size_t i = 0; i < fresh; ++i) {
+      const StagedToken& st = *sh.fresh_tokens[i];
+      deliver(token_arena_.tag(st.edge), st.token);
+    }
+    std::uint32_t round_max = 1;
+    for (std::size_t i = 0; i < queued; ++i) {
+      const StagedToken& st = *sh.queued_tokens[i];
+      const std::uint32_t depth =
+          token_arena_.push(shard, st.edge, st.token) + 1;
+      round_max = depth > round_max ? depth : round_max;
+    }
+    if (round_max > sh.max_backlog) sh.max_backlog = round_max;
+    for (unsigned w = 0; w < workers_; ++w) {
+      token_stage_[w * workers_ + shard].clear();
+    }
+    lanes_[shard].merge_ns += ns_since(merge_start);
+    if (obs::Registry::global().enabled()) {
+      obs::Registry::global().histogram("arena.backlog").record(round_max);
+    }
+    obs::event(obs::Name::kArenaBacklog, 'C', obs::kPidExecutor,
+               static_cast<std::uint16_t>(shard), round_max);
+  }
+
+  sh.delivered.assign(delivered, delivered + delivered_count);
+  close_transmit(shard, token_arena_,
+                 [this](NodeId v) { return arrival_count_[v]; });
 }
 
 void Network::reset_transients(bool aborted) {
   for (unsigned s = 0; s < workers_; ++s) {
     Shard& sh = shards_[s];
     for (NodeId v : sh.delivered) {
-      if (lane_inboxes_on_) {
+      if (kernel_ != nullptr) {
+        arrival_count_[v] = 0;
+      } else if (lane_inboxes_on_) {
         const std::size_t base =
             static_cast<std::size_t>(v) * lane_inbox_stride_;
         for (unsigned l = 0; l < lane_inbox_stride_; ++l) {
@@ -919,7 +1133,13 @@ void Network::reset_transients(bool aborted) {
     sh.chunk_end.clear();
     sh.work = 0;
     sh.fresh_scratch.clear();
-    for (std::uint32_t eid : sh.busy) arena_.clear_queue(s, eid);
+    for (std::uint32_t eid : sh.busy) {
+      if (kernel_ != nullptr) {
+        token_arena_.clear_queue(s, eid);
+      } else {
+        arena_.clear_queue(s, eid);
+      }
+    }
     sh.busy.clear();
   }
   for (unsigned w = 0; w < workers_; ++w) {
@@ -931,6 +1151,7 @@ void Network::reset_transients(bool aborted) {
       tok.hdr.clear();
       tok.lo.clear();
       tok.hi.clear();
+      token_stage_[w * workers_ + o].clear();
       seg_marks_[w][o].clear();
       for (const NodeId v : wake_staged_[w][o]) wake_flag_[v] = 0;
       wake_staged_[w][o].clear();
@@ -945,11 +1166,17 @@ void Network::reset_transients(bool aborted) {
     for (std::vector<Delivery>& in : inbox_) in.clear();
     for (std::vector<Delivery>& in : lane_inbox_) in.clear();
     if (lane_inboxes_on_) inbox_total_.assign(inbox_total_.size(), 0);
+    // Kernel runs also strand arrivals and staying tokens (including the
+    // scratch a step threw out of).
+    arrival_count_.assign(arrival_count_.size(), 0);
+    for (std::vector<TokenArrival>& in : staying_) in.clear();
+    for (std::vector<TokenArrival>& in : stay_scratch_) in.clear();
     wake_flag_.assign(wake_flag_.size(), 0);
   }
+  kernel_ = nullptr;
   // Only busy edges were cleared above; every other queue must already be
   // empty, or arena reuse would corrupt the next protocol run.
-  assert(arena_.all_empty() &&
+  assert(backlog_empty() &&
          "Network::run: non-busy edge queue left non-empty");
 }
 
@@ -977,6 +1204,13 @@ RunStats Network::run_multiplexed(Protocol& protocol, unsigned lanes,
 
 RunStats Network::run_with_lanes(Protocol& protocol, unsigned lanes,
                                  std::uint64_t max_rounds) {
+  // Kernel protocols have one lane; a wider run would have to interleave
+  // them with per-lane FIFOs the kernel does not keep.
+  auto* kernel = dynamic_cast<TokenKernelProtocol*>(&protocol);
+  if (kernel != nullptr && lanes != 1) {
+    throw std::logic_error(
+        "Network::run_multiplexed: token-walk protocols run with one lane");
+  }
   const auto start = Clock::now();
   obs::Span run_span(obs::Name::kNetRun, obs::kPidExecutor, 0, lanes);
   run_lanes_ = lanes;
@@ -1014,6 +1248,7 @@ RunStats Network::run_with_lanes(Protocol& protocol, unsigned lanes,
     lane.merge_ns = 0.0;
   }
   running_ = &protocol;
+  kernel_ = kernel;
   protocol.on_run_start(workers_);
   try {
     run_loop(protocol, max_rounds, stats);
@@ -1118,7 +1353,9 @@ void Network::run_loop(Protocol& protocol, std::uint64_t max_rounds,
     {
       obs::Span span(obs::Name::kComputeDispatch, obs::kPidExecutor, 0,
                      active_work);
-      dispatch(active_work, &Network::compute_phase,
+      dispatch(active_work,
+               kernel_ != nullptr ? &Network::kernel_compute_phase
+                                  : &Network::compute_phase,
                /*collaborative=*/true);
     }
     stats.compute_ms += ms_since(compute_start);
@@ -1162,7 +1399,9 @@ void Network::run_loop(Protocol& protocol, std::uint64_t max_rounds,
     {
       obs::Span span(obs::Name::kTransmitDispatch, obs::kPidExecutor, 0,
                      busy_bound);
-      dispatch(busy_bound, &Network::transmit_phase,
+      dispatch(busy_bound,
+               kernel_ != nullptr ? &Network::kernel_transmit_phase
+                                  : &Network::transmit_phase,
                /*collaborative=*/false);
     }
     stats.transmit_ms += ms_since(transmit_start);

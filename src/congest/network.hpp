@@ -70,6 +70,38 @@
 // messages this round, asked to be woken, or during round 0 (all nodes wake
 // once so protocols can initialize). Per-node randomness comes from streams
 // split off the network's master seed, so runs are deterministic.
+//
+// Token-walk kernel:
+//   A protocol that only forwards fixed-width walk tokens (Phase 1's short
+//   walks, naive walks and tails) derives from TokenKernelProtocol and runs
+//   on a specialised path of the same round executor. Instead of on_round
+//   it exposes a per-hop step -- (node, its Rng, token) -> forward slot |
+//   stay | stop -- and the executor keeps every in-flight token as a
+//   16-byte KernelToken: in per-node arrival columns (with the slot it
+//   arrived through, read from a reverse-edge table built once per
+//   Network), in per-node staying columns, and in per-edge FIFOs of a
+//   TokenArena. Compute calls each active node at most once per round and
+//   runs its tokens through the protocol's step, a direct call the compiler
+//   can inline; there is no Context, no Delivery, no Message in the arena
+//   and no virtual call per node (one per compute chunk). Sends are staged
+//   per (worker, owner shard) as (edge, token) records with the same
+//   per-chunk segment marks, so the kernel runs sharded and work-stolen on
+//   the worker pool like any run. Kernel FIFOs and their per-edge entries
+//   are indexed in receiver order, so each shard owns one contiguous block
+//   and concurrent transmits share no cache lines.
+//
+//   Ordering contract -- bit-identical to running the same walk as a
+//   generic protocol: a node draws from its stream for its round-0
+//   launches in launch order, and in later rounds for its staying tokens
+//   (in the order they stayed) and then its arrivals in inbox order; the
+//   transmit pass is the fused pass above (busy heads, then staged sends
+//   replayed in ascending chunk order with each idle edge's first token
+//   delivered directly, the rest queued FIFO), so per-edge FIFO order, one
+//   token per directed edge per round, the busy/fresh edge order and the
+//   rounds / messages / max_backlog accounting are unchanged. Every hop
+//   that crosses an edge counts into RunStats::token_sends. Kernel runs
+//   have one lane: run_multiplexed with lanes > 1 and ProtocolMux reject
+//   kernel protocols with std::logic_error.
 #pragma once
 
 #include <atomic>
@@ -81,6 +113,7 @@
 #include "congest/edge_arena.hpp"
 #include "congest/message.hpp"
 #include "graph/graph.hpp"
+#include "graph/transition.hpp"
 #include "util/rng.hpp"
 
 namespace drw::congest {
@@ -97,20 +130,28 @@ struct RunStats {
   /// Per-phase breakdown of wall_ms, measured on the driver thread around
   /// each phase dispatch. compute_ms + transmit_ms ~= wall_ms minus the
   /// between-phase bookkeeping; exported by the bench JSON reports.
+  /// compute covers on_round (generic runs) or the kernel's per-hop steps
+  /// and send staging (token-walk runs); transmit covers the fused
+  /// drain / replay / active-list pass of both.
   double compute_ms = 0.0;
   double transmit_ms = 0.0;
-  /// CPU time spent merging staged sends inside the transmit phase, SUMMED
-  /// across shards (shards merge concurrently, so this can legitimately
-  /// exceed transmit_ms x 1; it attributes how much of transmit is merge
-  /// work rather than delivery work).
+  /// CPU time spent replaying staged sends inside the transmit phase
+  /// (direct delivery of each idle edge's first message plus the FIFO
+  /// pushes of the rest), SUMMED across shards (shards merge concurrently,
+  /// so this can legitimately exceed transmit_ms x 1; it attributes how
+  /// much of transmit is merge work rather than backlog drain and
+  /// active-list work). Same scope for generic and kernel runs.
   double merge_ms = 0.0;
   /// Compute chunks executed by a worker other than the owning shard's
   /// (work-stealing balance indicator; 0 for inline rounds). NOT part of
   /// the determinism contract -- results never depend on who stole what.
   std::uint64_t steals = 0;
-  /// Sends that took the packed structure-of-arrays token fast path (see
-  /// message.hpp PackedToken) instead of the generic PendingSend staging.
-  /// Purely an attribution counter: routing is invisible to protocols.
+  /// Sends that travelled as fixed-width tokens: the packed
+  /// structure-of-arrays staging of generic runs (see message.hpp
+  /// PackedToken) or a token-walk kernel hop across an edge (stays and
+  /// stops send nothing). token_sends / messages is the share of traffic
+  /// off the generic PendingSend path. Purely an attribution counter:
+  /// routing is invisible to protocols.
   std::uint64_t token_sends = 0;
   /// Widest executor width CONFIGURED among accumulated runs. Rounds whose
   /// per-phase work falls below the parallel grain still execute inline on
@@ -261,6 +302,73 @@ class Protocol {
   virtual bool wants_lane_inboxes() const { return false; }
 };
 
+/// Slot a token-walk step returns when its token ends at the node (the
+/// protocol stored it; nothing travels). kStaySlot (graph/transition.hpp)
+/// keeps the token at the node for one round; a slot < degree forwards it.
+inline constexpr std::uint32_t kTokenStop = static_cast<std::uint32_t>(-3);
+/// Arrival slot of a token that has not crossed an edge yet (launched in
+/// round 0, possibly stayed since).
+inline constexpr std::uint32_t kNoArrival = static_cast<std::uint32_t>(-1);
+
+/// A protocol that only forwards fixed-width walk tokens, executed by the
+/// network's token-walk kernel (see the header comment) instead of per-node
+/// on_round calls. A derived class provides, as non-virtual members,
+///
+///   std::uint32_t launch(NodeId v, Rng& rng, KernelToken& t);
+///       round 0, once per token of launches(v), in order;
+///   std::uint32_t step(NodeId v, Rng& rng, KernelToken& t,
+///                      std::uint32_t arrival_slot);
+///       later rounds, for v's staying tokens and then its arrivals
+///       (arrival_slot: the slot at v the token came through, kept across
+///       stays; kNoArrival if it never moved);
+///
+/// each updating `t` and returning a neighbor slot to forward it through,
+/// kStaySlot or kTokenStop, and implements run_chunk as
+/// `visit(*this, chunk)`, which instantiates the kernel loop for the
+/// derived type, so the steps are direct calls the compiler can inline.
+/// `rng` is v's node stream; the shard-safety rule of Protocol applies to
+/// the steps unchanged.
+///
+/// Kernel runs have exactly one lane: Network::run_multiplexed with
+/// lanes > 1 and ProtocolMux::add_lane throw std::logic_error for these
+/// protocols, and so does on_round, which the kernel never calls.
+class TokenKernelProtocol : public Protocol {
+ public:
+  void on_round(Context& ctx) final;
+
+  /// Tokens born at `v`, launched in this order in round 0.
+  std::span<const KernelToken> launches(NodeId v) const noexcept {
+    return std::span<const KernelToken>(
+        launch_tokens_.data() + launch_begin_[v],
+        launch_tokens_.data() + launch_begin_[v + 1]);
+  }
+
+  /// One compute chunk of a kernel round: active nodes in ascending order,
+  /// executed by executor worker `worker`.
+  struct Chunk {
+    Network* net = nullptr;
+    unsigned worker = 0;
+    std::span<const NodeId> nodes;
+  };
+
+ protected:
+  /// Groups the round-0 tokens by origin, keeping the given order within
+  /// each node. origins[i] launches tokens[i].
+  void set_launches(std::size_t node_count, std::span<const NodeId> origins,
+                    std::span<const KernelToken> tokens);
+
+  /// Runs one compute chunk; implement as `visit(*this, chunk)`.
+  virtual void run_chunk(const Chunk& chunk) = 0;
+
+  template <class P>
+  static void visit(P& protocol, const Chunk& chunk);
+
+ private:
+  friend class Network;
+  std::vector<std::size_t> launch_begin_;  ///< node_count + 1 entries
+  std::vector<KernelToken> launch_tokens_;
+};
+
 class Network {
  public:
   /// Hard cap on run_multiplexed lanes: each lane costs one virtual FIFO
@@ -324,6 +432,12 @@ class Network {
   /// True while the current/last run delivered into per-lane inboxes.
   bool lane_inboxes_active() const noexcept { return lane_inboxes_on_; }
 
+  /// True when no message or token is queued on any edge -- the state
+  /// every run, completed or aborted, leaves behind.
+  bool backlog_empty() const noexcept {
+    return arena_.all_empty() && token_arena_.all_empty();
+  }
+
   /// Runs `protocol` to completion (quiescence or protocol.done()).
   /// Throws std::runtime_error if `max_rounds` is exceeded -- a protocol bug.
   RunStats run(Protocol& protocol, std::uint64_t max_rounds = 10'000'000);
@@ -335,6 +449,8 @@ class Network {
   /// budget applies per lane, mirroring the paper's interleaving analysis
   /// where non-contending traversals share rounds. `lanes` == 1 is
   /// identical to run(). Messages must carry Message::lane < lanes.
+  /// Throws std::logic_error for a TokenKernelProtocol with lanes > 1 (the
+  /// kernel has one lane).
   RunStats run_multiplexed(Protocol& protocol, unsigned lanes,
                            std::uint64_t max_rounds = 10'000'000);
 
@@ -347,6 +463,7 @@ class Network {
 
  private:
   friend class Context;
+  friend class TokenKernelProtocol;  ///< visit() reaches visit_tokens
   struct WorkerPool;
 
   /// A staged GENERIC send: resolved VIRTUAL edge id (directed edge x
@@ -398,6 +515,8 @@ class Network {
     std::uint32_t token_end = 0;
   };
 
+  struct StagedToken;
+
   /// Per-shard executor working set. `active`/`chunk_end`/`work` are
   /// written by the owner shard during transmit (or by the driver for the
   /// round-0 global wake) and read-only during compute; everything else is
@@ -420,6 +539,13 @@ class Network {
     /// appended to `busy` -- reproducing exactly the busy order the
     /// unfused merge-then-deliver engine built.
     std::vector<std::uint32_t> fresh_scratch;
+    /// Kernel transmit scratch: the branch-free delivered-node buffer
+    /// (shard node count + 1, grow-only) and the staged tokens split into
+    /// this round's first tokens per edge (delivered) and the rest
+    /// (queued), in canonical order.
+    std::vector<NodeId> arrived;
+    std::vector<const StagedToken*> fresh_tokens;
+    std::vector<const StagedToken*> queued_tokens;
   };
 
   /// Per-worker hot counters, cache-line separated so concurrent chunk
@@ -441,9 +567,86 @@ class Network {
     std::atomic<std::uint32_t> next{0};
   };
 
+  /// A token-walk kernel token waiting at a node: delivered last transmit
+  /// (slot = the receiver's slot of the edge it came through, from the
+  /// edge's KernelEdge entry) or kept there by a stay step (slot carried
+  /// over).
+  struct TokenArrival {
+    KernelToken token;
+    std::uint32_t slot = kNoArrival;
+  };
+
+  /// Per-edge entry of the token-walk kernel for directed edge u -> v: the
+  /// target v, the slot of u in v's adjacency (Graph::slot_of(v, u),
+  /// resolved once in the constructor so kernel deliveries need no binary
+  /// search), and the kernel's busy/fresh transmit mark (same stamps as
+  /// edge_mark_). Stored as the tag of the edge's token FIFO, so a kernel
+  /// transmit touches one 32-byte entry per edge for routing, marks and
+  /// queue state together. Kernel FIFOs are indexed by RECEIVER-ordered
+  /// edge index (see in_edge_): each shard's edges form one contiguous
+  /// block, so concurrent transmits never share a cache line.
+  struct KernelEdge {
+    std::uint64_t mark = 0;
+    NodeId to = kInvalidNode;
+    std::uint32_t slot = 0;
+  };
+  /// Kernel per-edge FIFOs: a chunk is 3 * 16B KernelTokens + link, one
+  /// cache line.
+  using TokenArena = BasicEdgeArena<KernelToken, 3, KernelEdge>;
+
+  /// A kernel send staged during compute: receiver-ordered edge index
+  /// (in_edge_) + token. Replaces PendingSend / PackedToken staging for
+  /// kernel runs.
+  struct StagedToken {
+    std::uint32_t edge = 0;
+    KernelToken token;
+  };
+
+  /// One (worker, owner shard) kernel staging bucket: the staged tokens
+  /// tokens[0 .. count), their per-chunk segment marks (SegMark::begin
+  /// indexes `tokens`) and the chunk of the open segment, so a send checks
+  /// one word. `tokens` only grows (its size is the capacity), which keeps
+  /// push small enough to inline into the kernel loop. Cache-line aligned:
+  /// different workers bump neighbouring stages' counters concurrently.
+  struct alignas(64) TokenStage {
+    static constexpr std::uint64_t kNoChunk = ~std::uint64_t{0};
+    std::vector<StagedToken> tokens;
+    std::uint32_t count = 0;
+    std::vector<SegMark> marks;
+    std::uint64_t open_chunk = kNoChunk;
+
+    void push(std::uint64_t chunk, std::uint32_t edge, const KernelToken& t) {
+      if (open_chunk != chunk) open(chunk);
+      if (count == tokens.size()) grow();
+      tokens[count++] = StagedToken{edge, t};
+    }
+    /// Starts `chunk`'s segment at the current end of the staged tokens.
+    void open(std::uint64_t chunk);
+    void grow();
+    void clear() {
+      count = 0;
+      marks.clear();
+      open_chunk = kNoChunk;
+    }
+  };
+
   void stage_send(unsigned worker, NodeId from, std::uint32_t slot,
                   const Message& m, std::uint16_t lane);
-  void stage_wake(unsigned worker, NodeId self);
+  void stage_wake(unsigned worker, NodeId self) {
+    if (!wake_flag_[self]) {
+      wake_flag_[self] = 1;
+      wake_staged_[worker][node_shard_[self]].push_back(self);
+      ++lanes_[worker].wakes;
+    }
+  }
+  /// Keeps a kernel token at `v` for a round (a self-loop step: one round
+  /// elapses, no message travels) and wakes v for it.
+  void stage_stay(unsigned worker, NodeId v, const TokenArrival& a);
+  /// The kernel's compute loop over one chunk, instantiated per protocol
+  /// type by TokenKernelProtocol::visit so its steps inline.
+  template <class P>
+  void visit_tokens(P& protocol, unsigned worker,
+                    std::span<const NodeId> nodes);
   RunStats run_with_lanes(Protocol& protocol, unsigned lanes,
                           std::uint64_t max_rounds);
   unsigned resolve_threads() const noexcept;
@@ -457,17 +660,26 @@ class Network {
   /// strategy, steal-chunk grain or lane count changed. Only between runs.
   void ensure_executor();
   void build_partition();
-  /// Cuts `shard`'s active list into steal chunks of ~steal_chunk_ work
-  /// units (weight 1 + pending inbox size per node) and records the total.
-  void chunk_active_list(Shard& sh);
   /// Runs `phase` for every shard: on the pool when `work` crosses the
   /// dispatch grain, inline (same data flow, same results) otherwise.
   /// `collaborative` phases (compute) drain every shard's chunks from a
   /// single inline call; owner-bound phases (transmit) are called per shard.
   void dispatch(std::size_t work, void (Network::*phase)(unsigned),
                 bool collaborative);
+  /// Claims compute chunks for `worker` -- own shard first, then stealing
+  /// -- and runs `body(shard, begin, end)` on each (indices into the
+  /// shard's active list), with lanes_[worker].chunk set.
+  template <class Body>
+  void claim_chunks(unsigned worker, Body&& body);
   void compute_phase(unsigned worker);
   void transmit_phase(unsigned shard);
+  void kernel_compute_phase(unsigned worker);
+  void kernel_transmit_phase(unsigned shard);
+  /// Shared end of both transmit passes: compacts the busy list against
+  /// `arena`, assembles the shard's next active list from delivered nodes
+  /// and staged wakes, and chunks it by 1 + pending(v) deliveries.
+  template <class Arena, class Pending>
+  void close_transmit(unsigned shard, const Arena& arena, Pending&& pending);
   void run_loop(Protocol& protocol, std::uint64_t max_rounds,
                 RunStats& stats);
   /// Clears backlogs, inboxes, wake flags and staged sends so the network
@@ -485,6 +697,11 @@ class Network {
   /// load halves its random-access cache traffic versus separate
   /// target/source arrays.
   std::vector<std::uint64_t> edge_endpoints_;
+  /// Reverse-edge table of the token-walk kernel: per directed edge id
+  /// u -> v, its receiver-ordered index -- the edges into v occupy
+  /// [arrival_begin_[v], arrival_begin_[v + 1]) -- which keys the edge's
+  /// token FIFO and KernelEdge entry.
+  std::vector<std::uint32_t> in_edge_;
 
   unsigned threads_setting_ = 0;  ///< requested (0 = auto)
   Partition partition_setting_;   ///< requested (ctor: DRW_PARTITION / edges)
@@ -549,10 +766,85 @@ class Network {
   bool lane_inboxes_on_ = false;
   std::uint32_t lane_inbox_budget_mb_ = 0;  ///< 0 = env/default
 
+  /// Token-walk kernel state. Per-edge FIFOs hold 16-byte tokens. A node
+  /// receives at most one token per in-edge per round, so arrivals live in
+  /// one flat column: node v's round occupies arrival_[arrival_begin_[v] ..
+  /// + arrival_count_[v]) in delivery order. Arrivals are written by the
+  /// owner shard's transmit and read and reset by the node's compute;
+  /// staying_ is node-owned too; token_stage_[worker * workers_ + owner]
+  /// mirrors staged_; stay_scratch_ is per-worker. All empty between runs.
+  TokenArena token_arena_;
+  std::vector<std::uint32_t> arrival_begin_;  ///< n + 1 in-degree prefix
+  std::vector<std::uint32_t> arrival_count_;  ///< per node, this round
+  std::vector<TokenArrival> arrival_;         ///< one slot per directed edge
+  std::vector<std::vector<TokenArrival>> staying_;
+  std::vector<TokenStage> token_stage_;
+  std::vector<std::vector<TokenArrival>> stay_scratch_;
+  TokenKernelProtocol* kernel_ = nullptr;  ///< current kernel run's protocol
+
   Protocol* running_ = nullptr;  ///< current protocol during run()
   std::uint64_t round_ = 0;
   bool global_wake_ = false;      ///< round 0: every node is active
   bool parallel_round_ = false;   ///< current compute went to the pool
 };
+
+template <class P>
+void TokenKernelProtocol::visit(P& protocol, const Chunk& chunk) {
+  chunk.net->visit_tokens(protocol, chunk.worker, chunk.nodes);
+}
+
+template <class P>
+void Network::visit_tokens(P& protocol, unsigned worker,
+                           std::span<const NodeId> nodes) {
+  WorkerLane& lane = lanes_[worker];
+  TokenStage* const stages =
+      token_stage_.data() + static_cast<std::size_t>(worker) * workers_;
+  const std::uint64_t chunk = lane.chunk;
+  std::uint64_t forwarded = 0;
+  const auto route = [&](NodeId v, std::uint32_t slot, const KernelToken& t,
+                         std::uint32_t arrival) {
+    if (slot == kTokenStop) return;
+    if (slot == kStaySlot) {
+      stage_stay(worker, v, TokenArrival{t, arrival});
+      return;
+    }
+    const std::size_t eid = graph_->directed_edge_index(v, slot);
+    stages[edge_owner_[eid]].push(chunk, in_edge_[eid], t);
+    ++forwarded;
+  };
+  if (round_ == 0) {
+    for (const NodeId v : nodes) {
+      Rng& rng = node_rngs_[v];
+      for (KernelToken t : protocol.launches(v)) {
+        route(v, protocol.launch(v, rng, t), t, kNoArrival);
+      }
+    }
+  } else {
+    std::vector<TokenArrival>& stayed = stay_scratch_[worker];
+    for (const NodeId v : nodes) {
+      Rng& rng = node_rngs_[v];
+      if (!staying_[v].empty()) {
+        // Stays of this round go to staying_[v] while the previous
+        // round's are walked from the scratch buffer.
+        stayed.swap(staying_[v]);
+        for (TokenArrival& a : stayed) {
+          route(v, protocol.step(v, rng, a.token, a.slot), a.token, a.slot);
+        }
+        stayed.clear();
+      }
+      const std::uint32_t count = arrival_count_[v];
+      if (count == 0) continue;
+      lane.deliveries += count;
+      arrival_count_[v] = 0;
+      TokenArrival* const in = arrival_.data() + arrival_begin_[v];
+      for (std::uint32_t k = 0; k < count; ++k) {
+        route(v, protocol.step(v, rng, in[k].token, in[k].slot), in[k].token,
+              in[k].slot);
+      }
+    }
+  }
+  lane.sends += forwarded;
+  lane.token_sends += forwarded;
+}
 
 }  // namespace drw::congest

@@ -1,5 +1,6 @@
 #include "core/protocols.hpp"
 
+#include <limits>
 #include <stdexcept>
 
 namespace drw::core {
@@ -21,68 +22,51 @@ ShortWalkPhaseProtocol::ShortWalkPhaseProtocol(const Graph& g,
                                                WalkStore& store,
                                                TrajectoryStore* trajectories,
                                                TransitionModel model)
-    : graph_(&g), jobs_by_node_(g.node_count()), store_(&store),
-      trajectories_(trajectories), model_(model),
-      staying_(g.node_count()) {
+    : graph_(&g), store_(&store), trajectories_(trajectories), model_(model) {
   if (trajectories != nullptr && model != TransitionModel::kSimple) {
     throw std::invalid_argument(
         "ShortWalkPhase: trajectory recording requires the simple walk");
   }
-  for (const Job& job : jobs) jobs_by_node_[job.origin].push_back(job);
+  std::vector<NodeId> origins;
+  std::vector<congest::KernelToken> tokens;
+  origins.reserve(jobs.size());
+  tokens.reserve(jobs.size());
+  for (const Job& job : jobs) {
+    origins.push_back(job.origin);
+    tokens.push_back({job.origin, job.seq, job.length, job.length});
+  }
+  set_launches(g.node_count(), origins, tokens);
 }
 
-void ShortWalkPhaseProtocol::route(congest::Context& ctx, NodeId source,
-                                   std::uint32_t seq, std::uint32_t total,
-                                   std::uint32_t remaining,
-                                   std::uint32_t arrival_slot) {
-  const NodeId v = ctx.self();
-  if (remaining == 0) {
-    store_->held[v].push_back(HeldToken{source, seq, total, WalkKind::kPhase1,
-                                        arrival_slot == kNoSlot ? 0
-                                                                : arrival_slot,
-                                        false});
-    return;
-  }
-  const std::uint32_t slot = sample_step(ctx.rng(), *graph_, v, model_);
-  if (slot == kStaySlot) {
-    // Self-loop step: one round elapses, no message travels.
-    staying_[v].push_back(
-        Pending{source, seq, total, remaining - 1u, arrival_slot});
-    ctx.wake_me();
-    return;
-  }
-  if (trajectories_ != nullptr) {
-    const std::uint32_t hop = total - remaining;
-    trajectories_->forward[v][TrajectoryStore::key(source, seq)].push_back(
-        ForwardHop{hop, slot});
-  }
-  ctx.send(slot, congest::Message{kToken, {source, seq, total,
-                                           remaining - 1u}});
+void ShortWalkPhaseProtocol::hold(NodeId v, const congest::KernelToken& t,
+                                  std::uint32_t arrival_slot) {
+  store_->held[v].push_back(HeldToken{
+      t.id, t.seq, t.total, WalkKind::kPhase1,
+      arrival_slot == congest::kNoArrival ? 0 : arrival_slot, false});
 }
 
-void ShortWalkPhaseProtocol::on_round(congest::Context& ctx) {
-  const NodeId v = ctx.self();
-  if (ctx.round() == 0) {
-    for (const Job& job : jobs_by_node_[v]) {
-      route(ctx, v, job.seq, job.length, job.length, kNoSlot);
-    }
-    jobs_by_node_[v].clear();
-    return;
+void ShortWalkPhaseProtocol::record_hop(NodeId v,
+                                        const congest::KernelToken& t,
+                                        std::uint32_t slot) {
+  trajectories_->forward[v][TrajectoryStore::key(t.id, t.seq)].push_back(
+      ForwardHop{t.total - t.remaining, slot});
+}
+
+std::uint32_t ShortWalkPhaseProtocol::step(NodeId v, Rng& rng,
+                                           congest::KernelToken& t,
+                                           std::uint32_t arrival_slot) {
+  if (t.remaining == 0) {
+    hold(v, t, arrival_slot);
+    return congest::kTokenStop;
   }
-  if (!staying_[v].empty()) {
-    std::vector<Pending> stayed;
-    stayed.swap(staying_[v]);
-    for (const Pending& p : stayed) {
-      route(ctx, p.source, p.seq, p.total, p.remaining, p.arrival_slot);
-    }
-  }
-  for (const congest::Delivery& d : ctx.inbox()) {
-    if (d.msg.type != kToken) continue;
-    route(ctx, static_cast<NodeId>(d.msg.f[0]),
-          static_cast<std::uint32_t>(d.msg.f[1]),
-          static_cast<std::uint32_t>(d.msg.f[2]),
-          static_cast<std::uint32_t>(d.msg.f[3]), ctx.slot_of(d.from));
-  }
+  const std::uint32_t slot = sample_step(rng, *graph_, v, model_);
+  if (slot != kStaySlot && trajectories_ != nullptr) record_hop(v, t, slot);
+  --t.remaining;
+  return slot;
+}
+
+void ShortWalkPhaseProtocol::run_chunk(const Chunk& chunk) {
+  visit(*this, chunk);
 }
 
 // --------------------------------------------------------- GET-MORE-WALKS
@@ -292,71 +276,58 @@ NaiveSegmentProtocol::NaiveSegmentProtocol(const Graph& g,
                                            std::vector<Job> jobs,
                                            PositionTable* positions,
                                            TransitionModel model)
-    : graph_(&g), jobs_(std::move(jobs)), jobs_by_node_(g.node_count()),
-      positions_(positions), model_(model), staying_(g.node_count()) {
+    : graph_(&g), jobs_(std::move(jobs)), positions_(positions),
+      model_(model) {
   destinations_.assign(jobs_.size(), kInvalidNode);
+  std::vector<NodeId> origins;
+  std::vector<congest::KernelToken> tokens;
+  origins.reserve(jobs_.size());
+  tokens.reserve(jobs_.size());
   for (std::uint32_t j = 0; j < jobs_.size(); ++j) {
-    jobs_by_node_[jobs_[j].start].push_back(j);
+    if (jobs_[j].steps > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::invalid_argument(
+          "NaiveSegment: steps exceed the 32-bit token field");
+    }
+    origins.push_back(jobs_[j].start);
+    tokens.push_back(
+        {j, 0, 0, static_cast<std::uint32_t>(jobs_[j].steps)});
+  }
+  set_launches(g.node_count(), origins, tokens);
+}
+
+void NaiveSegmentProtocol::record(NodeId v, const congest::KernelToken& t) {
+  const Job& job = jobs_[t.id];
+  if (positions_ != nullptr && job.record) {
+    (*positions_)[v].push_back(
+        WalkPosition{job.walk_id, job.base_step + job.steps - t.remaining});
   }
 }
 
-void NaiveSegmentProtocol::advance(congest::Context& ctx, std::uint32_t job,
-                                   std::uint64_t remaining,
-                                   std::uint64_t position) {
-  const NodeId v = ctx.self();
-  if (positions_ != nullptr && jobs_[job].record) {
-    (*positions_)[v].push_back(WalkPosition{jobs_[job].walk_id, position});
+std::uint32_t NaiveSegmentProtocol::hop(NodeId v, Rng& rng,
+                                        congest::KernelToken& t) {
+  if (t.remaining == 0) {
+    destinations_[t.id] = v;
+    return congest::kTokenStop;
   }
-  if (remaining == 0) {
-    destinations_[job] = v;
-    return;
-  }
-  const std::uint32_t slot = sample_step(ctx.rng(), *graph_, v, model_);
-  if (slot == kStaySlot) {
-    staying_[v].push_back(Pending{job, remaining - 1, position + 1});
-    ctx.wake_me();
-    return;
-  }
-  ctx.send(slot, congest::Message{kStep, {job, remaining - 1, position + 1,
-                                          0}});
+  --t.remaining;
+  return sample_step(rng, *graph_, v, model_);
 }
 
-void NaiveSegmentProtocol::on_round(congest::Context& ctx) {
-  const NodeId v = ctx.self();
-  if (ctx.round() == 0) {
-    for (std::uint32_t j : jobs_by_node_[v]) {
-      const Job& job = jobs_[j];
-      if (positions_ != nullptr && job.record && job.record_start) {
-        (*positions_)[v].push_back(WalkPosition{job.walk_id, job.base_step});
-      }
-      if (job.steps == 0) {
-        destinations_[j] = v;
-        continue;
-      }
-      const std::uint32_t slot = sample_step(ctx.rng(), *graph_, v, model_);
-      if (slot == kStaySlot) {
-        staying_[v].push_back(
-            Pending{j, job.steps - 1, job.base_step + 1});
-        ctx.wake_me();
-        continue;
-      }
-      ctx.send(slot, congest::Message{kStep, {j, job.steps - 1,
-                                              job.base_step + 1, 0}});
-    }
-    return;
-  }
-  if (!staying_[v].empty()) {
-    std::vector<Pending> stayed;
-    stayed.swap(staying_[v]);
-    for (const Pending& p : stayed) {
-      advance(ctx, p.job, p.remaining, p.position);
-    }
-  }
-  for (const congest::Delivery& d : ctx.inbox()) {
-    if (d.msg.type != kStep) continue;
-    advance(ctx, static_cast<std::uint32_t>(d.msg.f[0]), d.msg.f[1],
-            d.msg.f[2]);
-  }
+std::uint32_t NaiveSegmentProtocol::launch(NodeId v, Rng& rng,
+                                           congest::KernelToken& t) {
+  if (jobs_[t.id].record_start) record(v, t);
+  return hop(v, rng, t);
+}
+
+std::uint32_t NaiveSegmentProtocol::step(NodeId v, Rng& rng,
+                                         congest::KernelToken& t,
+                                         std::uint32_t /*arrival_slot*/) {
+  record(v, t);
+  return hop(v, rng, t);
+}
+
+void NaiveSegmentProtocol::run_chunk(const Chunk& chunk) {
+  visit(*this, chunk);
 }
 
 // ------------------------------------------------------------ regeneration

@@ -5,12 +5,17 @@
 // Each protocol is a self-contained CONGEST state machine; the drivers in
 // single_random_walk.cpp sequence them and accumulate round counts.
 //
-// LANE COMPATIBILITY: every protocol here draws randomness exclusively
-// through Context::rng() and keeps all mutable state node-indexed, so each
-// can run as one lane of a congest::ProtocolMux (the mux retargets
-// ctx.rng() to a per-lane stream and isolates messages/wakes per lane).
-// The stitch protocols' only cross-instance coupling is the shared
-// WalkStore, whose token pools are keyed by source connector -- the
+// TOKEN-WALK KERNEL: ShortWalkPhaseProtocol and NaiveSegmentProtocol only
+// forward fixed-width walk tokens, so they are congest::TokenKernelProtocols:
+// per-hop launch/step functions run by the network's token-walk kernel,
+// one lane, no on_round.
+//
+// LANE COMPATIBILITY: every other protocol here draws randomness
+// exclusively through Context::rng() and keeps all mutable state
+// node-indexed, so each can run as one lane of a congest::ProtocolMux (the
+// mux retargets ctx.rng() to a per-lane stream and isolates messages/wakes
+// per lane). The stitch protocols' only cross-instance coupling is the
+// shared WalkStore, whose token pools are keyed by source connector -- the
 // conflict rule BatchScheduler serializes on.
 #pragma once
 
@@ -31,7 +36,10 @@ namespace drw::core {
 /// nodes keep forwarding these tokens with decreased desired walk length").
 /// Distinct tokens occupy distinct messages, so congestion is real and the
 /// round count displays Lemma 2.1's O(lambda * eta * log n) behaviour.
-class ShortWalkPhaseProtocol final : public congest::Protocol {
+/// Runs on the token-walk kernel with tokens (source, seq, total length,
+/// remaining hops); a self-loop step (lazy / Metropolis stay) keeps the
+/// token at its node for a round without a message.
+class ShortWalkPhaseProtocol final : public congest::TokenKernelProtocol {
  public:
   /// A short walk to launch from node `origin`.
   struct Job {
@@ -43,28 +51,28 @@ class ShortWalkPhaseProtocol final : public congest::Protocol {
   ShortWalkPhaseProtocol(const Graph& g, std::vector<Job> jobs,
                          WalkStore& store, TrajectoryStore* trajectories,
                          TransitionModel model = TransitionModel::kSimple);
-  void on_round(congest::Context& ctx) override;
+
+  /// Kernel steps (see congest::TokenKernelProtocol): a token with no hops
+  /// left is stored at v in WalkStore::held; otherwise one step of the
+  /// transition model is drawn from `rng`, and a forward is recorded in
+  /// the TrajectoryStore when recording.
+  std::uint32_t launch(NodeId v, Rng& rng, congest::KernelToken& t) {
+    return step(v, rng, t, congest::kNoArrival);
+  }
+  std::uint32_t step(NodeId v, Rng& rng, congest::KernelToken& t,
+                     std::uint32_t arrival_slot);
 
  private:
-  enum MsgType : std::uint16_t { kToken = 10 };
-  struct Pending {
-    NodeId source;
-    std::uint32_t seq;
-    std::uint32_t total;
-    std::uint32_t remaining;
-    std::uint32_t arrival_slot;
-  };
-  void route(congest::Context& ctx, NodeId source, std::uint32_t seq,
-             std::uint32_t total, std::uint32_t remaining,
-             std::uint32_t arrival_slot);
+  void run_chunk(const Chunk& chunk) override;
+  /// The walk ends at v: store its endpoint token.
+  void hold(NodeId v, const congest::KernelToken& t,
+            std::uint32_t arrival_slot);
+  /// Trajectory recording: the token leaves v through `slot`.
+  void record_hop(NodeId v, const congest::KernelToken& t, std::uint32_t slot);
   const Graph* graph_;
-  std::vector<std::vector<Job>> jobs_by_node_;
   WalkStore* store_;
   TrajectoryStore* trajectories_;
   TransitionModel model_;
-  /// Tokens that took a self-loop step (lazy / Metropolis stay): processed
-  /// again next round without any message, via wake_me.
-  std::vector<std::vector<Pending>> staying_;
 };
 
 /// GET-MORE-WALKS (Algorithm 2): `count` walks from `source`, forwarded as
@@ -143,11 +151,13 @@ class SampleConvergecast final : public congest::Protocol {
 /// recorded. Used for: the naive baseline, the naive tail of Algorithm 1
 /// ("walk naively until l steps are completed"), and the k > lambda fallback
 /// of MANY-RANDOM-WALKS. Tokens are individual messages (congestion real).
-class NaiveSegmentProtocol final : public congest::Protocol {
+/// Runs on the token-walk kernel with tokens (job index, -, -, remaining
+/// hops); a token's position is base_step + steps - remaining.
+class NaiveSegmentProtocol final : public congest::TokenKernelProtocol {
  public:
   struct Job {
     NodeId start = kInvalidNode;
-    std::uint64_t steps = 0;
+    std::uint64_t steps = 0;  ///< at most 2^32 - 1 (a 32-bit token field)
     std::uint32_t walk_id = 0;
     std::uint64_t base_step = 0;  ///< absolute position of `start`
     /// Record the start position too (false when a preceding stitched
@@ -162,27 +172,26 @@ class NaiveSegmentProtocol final : public congest::Protocol {
   NaiveSegmentProtocol(const Graph& g, std::vector<Job> jobs,
                        PositionTable* positions,
                        TransitionModel model = TransitionModel::kSimple);
-  void on_round(congest::Context& ctx) override;
 
   /// Destination of each job (valid after the run).
   const std::vector<NodeId>& destinations() const { return destinations_; }
 
+  /// Kernel steps (see congest::TokenKernelProtocol): record the position
+  /// (at launch only if record_start), then stop at v if no hops are left,
+  /// else draw one step of the transition model.
+  std::uint32_t launch(NodeId v, Rng& rng, congest::KernelToken& t);
+  std::uint32_t step(NodeId v, Rng& rng, congest::KernelToken& t,
+                     std::uint32_t arrival_slot);
+
  private:
-  enum MsgType : std::uint16_t { kStep = 40 };
-  struct Pending {
-    std::uint32_t job;
-    std::uint64_t remaining;
-    std::uint64_t position;
-  };
-  void advance(congest::Context& ctx, std::uint32_t job,
-               std::uint64_t remaining, std::uint64_t position);
+  void run_chunk(const Chunk& chunk) override;
+  void record(NodeId v, const congest::KernelToken& t);
+  std::uint32_t hop(NodeId v, Rng& rng, congest::KernelToken& t);
   const Graph* graph_;
   std::vector<Job> jobs_;
-  std::vector<std::vector<std::uint32_t>> jobs_by_node_;
   PositionTable* positions_;
   std::vector<NodeId> destinations_;
   TransitionModel model_;
-  std::vector<std::vector<Pending>> staying_;
 };
 
 /// Regeneration (Section 2.2): every stitched short walk is replayed so each

@@ -1,6 +1,5 @@
 #include "util/rng.hpp"
 
-#include <bit>
 #include <cassert>
 
 namespace drw {
@@ -18,35 +17,6 @@ Rng::Rng(std::uint64_t seed) noexcept {
   for (auto& word : state_) word = splitmix64(s);
   // xoshiro's state must not be all zero; splitmix64 cannot emit four zero
   // words in a row, so no further handling is required.
-}
-
-Rng::result_type Rng::operator()() noexcept {
-  const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = std::rotl(state_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::next_below(std::uint64_t bound) noexcept {
-  assert(bound > 0);
-  // Lemire's nearly-divisionless unbiased bounded sampling.
-  std::uint64_t x = (*this)();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto low = static_cast<std::uint64_t>(m);
-  if (low < bound) {
-    const std::uint64_t threshold = (0 - bound) % bound;
-    while (low < threshold) {
-      x = (*this)();
-      m = static_cast<__uint128_t>(x) * bound;
-      low = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
 }
 
 std::int64_t Rng::next_in(std::int64_t lo, std::int64_t hi) noexcept {

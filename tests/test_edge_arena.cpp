@@ -3,7 +3,9 @@
 // boundaries, the depth returned by push (1 == edge was idle), interleaved
 // push/pop with head and tail in different chunks, per-lane virtual-edge
 // isolation, chunk recycling through the free list, clear_queue/all_empty,
-// and the PackedToken round-trip at the packability boundary.
+// per-edge tags that outlive draining and resets (the token-walk kernel's
+// routing data lives there), and the PackedToken round-trip at the
+// packability boundary.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -165,6 +167,40 @@ TEST(EdgeArena, ResetDropsAllStateForNewGeometry) {
   EXPECT_EQ(arena.size(0), 0u);
   EXPECT_EQ(arena.push(0, 1, msg(9)), 1u);
   expect_msg_eq(arena.pop(0, 1), msg(9), 9);
+}
+
+// A tagged arena of kernel tokens: FIFO order holds for 16-byte records,
+// and each edge's tag survives its queue draining, clear_queue and a
+// reset() to more shards -- the network fills the tags once per Network.
+TEST(EdgeArena, TagsSurviveDrainClearAndReset) {
+  struct Tag {
+    std::uint64_t mark = 0;
+    std::uint32_t value = 0;
+  };
+  BasicEdgeArena<KernelToken, 3, Tag> arena;
+  arena.reset(/*edge_count=*/3, /*shard_count=*/1);
+  for (std::uint32_t eid = 0; eid < 3; ++eid) arena.tag(eid).value = 10 + eid;
+
+  for (std::uint32_t i = 0; i < 7; ++i) {
+    EXPECT_EQ(arena.push(0, 1, KernelToken{i, i + 1, i + 2, i + 3}), i + 1);
+  }
+  for (std::uint32_t i = 0; i < 7; ++i) {
+    const KernelToken t = arena.pop(0, 1);
+    EXPECT_EQ(t.id, i);
+    EXPECT_EQ(t.remaining, i + 3);
+  }
+  EXPECT_EQ(arena.tag(1).value, 11u) << "drained queue kept its tag";
+
+  arena.push(0, 2, KernelToken{});
+  arena.clear_queue(0, 2);
+  EXPECT_EQ(arena.tag(2).value, 12u) << "cleared queue kept its tag";
+  arena.push(0, 0, KernelToken{});
+  arena.reset(/*edge_count=*/3, /*shard_count=*/4);
+  EXPECT_TRUE(arena.all_empty());
+  for (std::uint32_t eid = 0; eid < 3; ++eid) {
+    EXPECT_EQ(arena.tag(eid).value, 10 + eid) << "reset kept tag " << eid;
+    EXPECT_EQ(arena.size(eid), 0u);
+  }
 }
 
 // PackedToken round-trip at the packability boundary: 2^32 - 1 in every

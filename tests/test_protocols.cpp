@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "congest/mux.hpp"
 #include "congest/primitives.hpp"
 #include "graph/generators.hpp"
 #include "util/stats.hpp"
@@ -247,6 +250,39 @@ TEST(NaiveSegment, ParallelJobsFromSameStart) {
   for (NodeId dest : protocol.destinations()) {
     EXPECT_NE(dest, kInvalidNode);
   }
+}
+
+// The token-walk kernel keeps one FIFO per directed edge, not per (edge,
+// lane): kernel protocols must refuse every multi-lane route.
+TEST(TokenKernel, RunMultiplexedRejectsKernelProtocolsAboveOneLane) {
+  const Graph g = gen::cycle(8);
+  Network net(g, 5);
+  WalkStore store(g.node_count());
+  ShortWalkPhaseProtocol phase1(g, {{0, 0, 4}}, store, nullptr);
+  EXPECT_THROW(net.run_multiplexed(phase1, 2), std::logic_error);
+  NaiveSegmentProtocol naive(g, {NaiveSegmentProtocol::Job{0, 4, 0, 0, true}},
+                             nullptr);
+  EXPECT_THROW(net.run_multiplexed(naive, 3), std::logic_error);
+
+  // One lane is run(): accepted, on the same network.
+  net.run_multiplexed(phase1, 1);
+  std::size_t held = 0;
+  for (const auto& at : store.held) held += at.size();
+  EXPECT_EQ(held, 1u);
+  net.run(naive);
+  EXPECT_NE(naive.destinations()[0], kInvalidNode);
+}
+
+TEST(TokenKernel, ProtocolMuxRejectsKernelProtocolLanes) {
+  const Graph g = gen::cycle(8);
+  WalkStore store(g.node_count());
+  ShortWalkPhaseProtocol phase1(g, {{0, 0, 4}}, store, nullptr);
+  NaiveSegmentProtocol naive(g, {NaiveSegmentProtocol::Job{0, 4, 0, 0, true}},
+                             nullptr);
+  congest::ProtocolMux mux(g.node_count());
+  EXPECT_THROW(mux.add_lane(phase1, nullptr), std::logic_error);
+  EXPECT_THROW(mux.add_lane(naive, nullptr), std::logic_error);
+  EXPECT_EQ(mux.lane_count(), 0u);
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 // Resilience tier-1 (drw::resil): warm-restart bit-equivalence across
 // thread count x partition x mux width, torn/corrupt-snapshot detection
 // degrading to cold start, deterministic failpoints (zero-overhead while
-// disarmed), exception-safe Network reuse after a throwing protocol, and
-// service-boundary validation caps with structured per-request errors.
+// disarmed), exception-safe Network reuse after a throwing protocol or an
+// aborted token-walk kernel run, and service-boundary validation caps with
+// structured per-request errors.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -15,6 +17,7 @@
 
 #include "congest/network.hpp"
 #include "core/params.hpp"
+#include "core/protocols.hpp"
 #include "core/random_walks.hpp"
 #include "core/walk_state.hpp"
 #include "graph/algorithms.hpp"
@@ -596,6 +599,75 @@ TEST_F(ResilFailpointTest, NetworkPhaseFailpointsAbortRunsSafely) {
   const congest::RunStats fresh_stats = fresh.run(baseline);
   EXPECT_EQ(reused.sums(), baseline.sums());
   EXPECT_EQ(stats.messages, fresh_stats.messages);
+}
+
+// The same failpoints abort token-walk kernel runs (Phase 1 on the kernel,
+// lazy so staying tokens exist too) mid-run, with tokens queued on edges,
+// waiting in arrival and staying columns and staged for transmit. The
+// network must come back with every FIFO empty, and -- with its node
+// streams rewound to where the aborted runs started -- run the next
+// Phase 1 bit-identically to a fresh network.
+TEST_F(ResilFailpointTest, NetworkPhaseFailpointsAbortKernelRunsSafely) {
+  Rng graph_rng(606);
+  const Graph g = gen::random_regular(64, 4, graph_rng);
+  std::vector<core::ShortWalkPhaseProtocol::Job> jobs;
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    for (std::uint32_t i = 0; i < 2 * g.degree(v); ++i) {
+      jobs.push_back({v, i, 12 + i % 5});
+    }
+  }
+  struct Outcome {
+    std::vector<std::vector<std::uint64_t>> held;
+    congest::RunStats stats;
+  };
+  const auto run_phase1 = [&](congest::Network& net) {
+    core::WalkStore store(g.node_count());
+    core::ShortWalkPhaseProtocol phase1(g, jobs, store, nullptr,
+                                        TransitionModel::kLazy);
+    Outcome out;
+    out.stats = net.run(phase1);
+    for (const auto& at : store.held) {
+      out.held.emplace_back();
+      for (const core::HeldToken& t : at) {
+        out.held.back().push_back((std::uint64_t{t.source} << 40) ^
+                                  (std::uint64_t{t.seq} << 20) ^
+                                  (std::uint64_t{t.length} << 10) ^
+                                  t.arrival_slot);
+      }
+    }
+    return out;
+  };
+
+  for (const unsigned threads : {1u, 8u}) {
+    congest::Network fresh(g, 77);
+    fresh.set_threads(threads);
+    const Outcome expected = run_phase1(fresh);
+
+    congest::Network net(g, 77);
+    net.set_threads(threads);
+    std::vector<std::array<std::uint64_t, 4>> streams;
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      streams.push_back(net.node_rng(v).state());
+    }
+    resil::arm_failpoints("net.round.compute@6:throw");
+    EXPECT_THROW(run_phase1(net), resil::InjectedFault);
+    EXPECT_TRUE(net.backlog_empty()) << "threads=" << threads;
+    resil::arm_failpoints("net.round.transmit@5:throw");
+    EXPECT_THROW(run_phase1(net), resil::InjectedFault);
+    EXPECT_TRUE(net.backlog_empty()) << "threads=" << threads;
+    resil::disarm_failpoints();
+
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      net.node_rng(v).set_state(streams[v]);
+    }
+    const Outcome reused = run_phase1(net);
+    EXPECT_TRUE(net.backlog_empty());
+    EXPECT_EQ(reused.held, expected.held) << "threads=" << threads;
+    EXPECT_EQ(reused.stats.rounds, expected.stats.rounds);
+    EXPECT_EQ(reused.stats.messages, expected.stats.messages);
+    EXPECT_EQ(reused.stats.max_backlog, expected.stats.max_backlog);
+    EXPECT_EQ(reused.stats.token_sends, expected.stats.token_sends);
+  }
 }
 
 // ------------------------------------------------------------ zero overhead
