@@ -1,6 +1,8 @@
 #include "core/protocols.hpp"
 
+#include <algorithm>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 
 namespace drw::core {
@@ -35,21 +37,62 @@ ShortWalkPhaseProtocol::ShortWalkPhaseProtocol(const Graph& g,
     origins.push_back(job.origin);
     tokens.push_back({job.origin, job.seq, job.length, job.length});
   }
+  if (trajectories != nullptr) plan_runs(tokens);
   set_launches(g.node_count(), origins, tokens);
+}
+
+void ShortWalkPhaseProtocol::plan_runs(
+    std::vector<congest::KernelToken>& tokens) {
+  if (tokens.size() >= TrajectoryStore::kNoRun) {
+    throw std::invalid_argument("ShortWalkPhase: too many jobs to record");
+  }
+  std::vector<std::uint64_t> keys;
+  keys.reserve(tokens.size());
+  for (const congest::KernelToken& t : tokens) {
+    keys.push_back(TrajectoryStore::key(t.id, t.seq));
+  }
+  // Runs are laid out in (source, seq) order -- the order prepare() already
+  // generates jobs in, so the sort is usually skipped.
+  std::vector<std::uint32_t> order(tokens.size());
+  std::iota(order.begin(), order.end(), 0u);
+  if (!std::is_sorted(keys.begin(), keys.end())) {
+    std::sort(order.begin(), order.end(),
+              [&keys](std::uint32_t a, std::uint32_t b) {
+                return keys[a] < keys[b];
+              });
+  }
+  TrajectoryStore& t = *trajectories_;
+  t.run_key.resize(tokens.size());
+  t.run_begin.resize(tokens.size() + 1);
+  std::uint64_t at = 0;
+  for (std::uint32_t j = 0; j < order.size(); ++j) {
+    const std::uint32_t i = order[j];
+    if (j > 0 && keys[i] == t.run_key[j - 1]) {
+      throw std::invalid_argument(
+          "ShortWalkPhase: duplicate (source, seq) with recording on");
+    }
+    t.run_key[j] = keys[i];
+    t.run_begin[j] = at;
+    at += tokens[i].total;
+    tokens[i].seq = j;  // in flight, the seq word carries the run index
+  }
+  t.run_begin[order.size()] = at;
+  t.slots.assign(at, 0);
 }
 
 void ShortWalkPhaseProtocol::hold(NodeId v, const congest::KernelToken& t,
                                   std::uint32_t arrival_slot) {
+  const std::uint32_t seq =
+      trajectories_ != nullptr ? trajectories_->run_seq(t.seq) : t.seq;
   store_->held[v].push_back(HeldToken{
-      t.id, t.seq, t.total, WalkKind::kPhase1,
+      t.id, seq, t.total, WalkKind::kPhase1,
       arrival_slot == congest::kNoArrival ? 0 : arrival_slot, false});
 }
 
-void ShortWalkPhaseProtocol::record_hop(NodeId v,
-                                        const congest::KernelToken& t,
+void ShortWalkPhaseProtocol::record_hop(const congest::KernelToken& t,
                                         std::uint32_t slot) {
-  trajectories_->forward[v][TrajectoryStore::key(t.id, t.seq)].push_back(
-      ForwardHop{t.total - t.remaining, slot});
+  trajectories_->slots[trajectories_->run_begin[t.seq] + t.total -
+                       t.remaining] = slot;
 }
 
 std::uint32_t ShortWalkPhaseProtocol::step(NodeId v, Rng& rng,
@@ -60,7 +103,7 @@ std::uint32_t ShortWalkPhaseProtocol::step(NodeId v, Rng& rng,
     return congest::kTokenStop;
   }
   const std::uint32_t slot = sample_step(rng, *graph_, v, model_);
-  if (slot != kStaySlot && trajectories_ != nullptr) record_hop(v, t, slot);
+  if (slot != kStaySlot && trajectories_ != nullptr) record_hop(t, slot);
   --t.remaining;
   return slot;
 }
@@ -340,35 +383,27 @@ RegenerateProtocol::RegenerateProtocol(const Graph& g,
     : forward_by_node_(g.node_count()), reverse_by_node_(g.node_count()),
       trajectories_(&trajectories), positions_(&positions) {
   for (const ForwardJob& job : forward) {
-    forward_by_node_[job.source].push_back(job);
+    const std::uint32_t run = trajectories.find_run(job.source, job.seq);
+    if (run == TrajectoryStore::kNoRun) {
+      throw std::logic_error("RegenerateProtocol: Phase-1 walk not recorded");
+    }
+    forward_by_node_[job.source].push_back(
+        ForwardRun{run, job.walk_id, job.offset});
   }
   for (const ReverseJob& job : reverse) {
     reverse_by_node_[job.holder].push_back(job);
   }
 }
 
-void RegenerateProtocol::forward_step(congest::Context& ctx, NodeId source,
-                                      std::uint32_t seq, std::uint64_t offset,
-                                      std::uint32_t hop,
+void RegenerateProtocol::forward_step(congest::Context& ctx, std::uint32_t run,
+                                      std::uint64_t offset, std::uint32_t hop,
                                       std::uint32_t walk_id) {
-  const NodeId v = ctx.self();
   if (hop > 0) {
-    (*positions_)[v].push_back(WalkPosition{walk_id, offset + hop});
+    (*positions_)[ctx.self()].push_back(WalkPosition{walk_id, offset + hop});
   }
-  auto& map = trajectories_->forward[v];
-  const auto it = map.find(TrajectoryStore::key(source, seq));
-  if (it != map.end()) {
-    for (const ForwardHop& record : it->second) {
-      if (record.hop != hop) continue;
-      ctx.send(record.next_slot,
-               congest::Message{
-                   kForward,
-                   {(static_cast<std::uint64_t>(walk_id) << 32) | source, seq,
-                    offset, hop + 1u}});
-      return;
-    }
-  }
-  // No outgoing record at this hop: v is the walk's endpoint; replay done.
+  if (hop == trajectories_->run_length(run)) return;  // the walk's endpoint
+  ctx.send(trajectories_->exit_slot(run, hop),
+           congest::Message{kForward, {walk_id, run, offset, hop + 1u}});
 }
 
 void RegenerateProtocol::reverse_step(congest::Context& ctx, NodeId source,
@@ -406,8 +441,8 @@ void RegenerateProtocol::reverse_step(congest::Context& ctx, NodeId source,
 void RegenerateProtocol::on_round(congest::Context& ctx) {
   const NodeId v = ctx.self();
   if (ctx.round() == 0) {
-    for (const ForwardJob& job : forward_by_node_[v]) {
-      forward_step(ctx, job.source, job.seq, job.offset, 0, job.walk_id);
+    for (const ForwardRun& job : forward_by_node_[v]) {
+      forward_step(ctx, job.run, job.offset, 0, job.walk_id);
     }
     for (const ReverseJob& job : reverse_by_node_[v]) {
       (*positions_)[v].push_back(
@@ -424,15 +459,14 @@ void RegenerateProtocol::on_round(congest::Context& ctx) {
     return;
   }
   for (const congest::Delivery& d : ctx.inbox()) {
-    const auto walk_id = static_cast<std::uint32_t>(d.msg.f[0] >> 32);
-    const auto source = static_cast<NodeId>(d.msg.f[0]);
     if (d.msg.type == kForward) {
-      forward_step(ctx, source, static_cast<std::uint32_t>(d.msg.f[1]),
-                   d.msg.f[2], static_cast<std::uint32_t>(d.msg.f[3]),
-                   walk_id);
+      forward_step(ctx, static_cast<std::uint32_t>(d.msg.f[1]), d.msg.f[2],
+                   static_cast<std::uint32_t>(d.msg.f[3]),
+                   static_cast<std::uint32_t>(d.msg.f[0]));
     } else if (d.msg.type == kReverse) {
-      reverse_step(ctx, source, d.msg.f[2],
-                   static_cast<std::uint32_t>(d.msg.f[3]), walk_id,
+      reverse_step(ctx, static_cast<NodeId>(d.msg.f[0]), d.msg.f[2],
+                   static_cast<std::uint32_t>(d.msg.f[3]),
+                   static_cast<std::uint32_t>(d.msg.f[0] >> 32),
                    ctx.slot_of(d.from));
     }
   }

@@ -37,7 +37,9 @@ namespace drw::core {
 /// Distinct tokens occupy distinct messages, so congestion is real and the
 /// round count displays Lemma 2.1's O(lambda * eta * log n) behaviour.
 /// Runs on the token-walk kernel with tokens (source, seq, total length,
-/// remaining hops); a self-loop step (lazy / Metropolis stay) keeps the
+/// remaining hops) -- when recording, the seq word carries the token's
+/// TrajectoryStore run index instead (the network never reads it, and
+/// hold() maps it back); a self-loop step (lazy / Metropolis stay) keeps the
 /// token at its node for a round without a message.
 class ShortWalkPhaseProtocol final : public congest::TokenKernelProtocol {
  public:
@@ -48,14 +50,16 @@ class ShortWalkPhaseProtocol final : public congest::TokenKernelProtocol {
     std::uint32_t length = 0;  ///< in [lambda, 2*lambda - 1]
   };
 
+  /// When `trajectories` is given, its Phase-1 columns are replaced by one
+  /// run per job, sized here; (origin, seq) pairs must then be distinct.
   ShortWalkPhaseProtocol(const Graph& g, std::vector<Job> jobs,
                          WalkStore& store, TrajectoryStore* trajectories,
                          TransitionModel model = TransitionModel::kSimple);
 
   /// Kernel steps (see congest::TokenKernelProtocol): a token with no hops
   /// left is stored at v in WalkStore::held; otherwise one step of the
-  /// transition model is drawn from `rng`, and a forward is recorded in
-  /// the TrajectoryStore when recording.
+  /// transition model is drawn from `rng`, and when recording its exit
+  /// slot is stored in the token's run.
   std::uint32_t launch(NodeId v, Rng& rng, congest::KernelToken& t) {
     return step(v, rng, t, congest::kNoArrival);
   }
@@ -64,11 +68,14 @@ class ShortWalkPhaseProtocol final : public congest::TokenKernelProtocol {
 
  private:
   void run_chunk(const Chunk& chunk) override;
-  /// The walk ends at v: store its endpoint token.
+  /// Sizes the trajectory columns and points each token's seq word at its
+  /// run, so recording a hop is one store with no lookup.
+  void plan_runs(std::vector<congest::KernelToken>& tokens);
+  /// The walk ends at v: store its endpoint token (with its real seq).
   void hold(NodeId v, const congest::KernelToken& t,
             std::uint32_t arrival_slot);
-  /// Trajectory recording: the token leaves v through `slot`.
-  void record_hop(NodeId v, const congest::KernelToken& t, std::uint32_t slot);
+  /// Trajectory recording: the token leaves its node through `slot`.
+  void record_hop(const congest::KernelToken& t, std::uint32_t slot);
   const Graph* graph_;
   WalkStore* store_;
   TrajectoryStore* trajectories_;
@@ -196,7 +203,8 @@ class NaiveSegmentProtocol final : public congest::TokenKernelProtocol {
 
 /// Regeneration (Section 2.2): every stitched short walk is replayed so each
 /// node on it learns its absolute position(s). Phase-1 segments replay
-/// forward from their source via recorded (source, seq) hop pointers;
+/// forward from their source through their recorded run (the message
+/// carries the run index, so each hop is one column read);
 /// GET-MORE-WALKS segments replay backward from their endpoint by consuming
 /// anonymous fragments (exchangeability makes any consistent matching
 /// distribution-correct). All segments replay in parallel; the round count
@@ -218,6 +226,7 @@ class RegenerateProtocol final : public congest::Protocol {
     std::uint32_t walk_id = 0;
   };
 
+  /// Throws std::logic_error if a forward job's (source, seq) has no run.
   RegenerateProtocol(const Graph& g, std::vector<ForwardJob> forward,
                      std::vector<ReverseJob> reverse,
                      TrajectoryStore& trajectories, PositionTable& positions);
@@ -225,13 +234,19 @@ class RegenerateProtocol final : public congest::Protocol {
 
  private:
   enum MsgType : std::uint16_t { kForward = 50, kReverse = 51 };
-  void forward_step(congest::Context& ctx, NodeId source, std::uint32_t seq,
+  /// A forward job resolved to its TrajectoryStore run.
+  struct ForwardRun {
+    std::uint32_t run = 0;
+    std::uint32_t walk_id = 0;
+    std::uint64_t offset = 0;
+  };
+  void forward_step(congest::Context& ctx, std::uint32_t run,
                     std::uint64_t offset, std::uint32_t hop,
                     std::uint32_t walk_id);
   void reverse_step(congest::Context& ctx, NodeId source, std::uint64_t offset,
                     std::uint32_t hop, std::uint32_t walk_id,
                     std::uint32_t via_slot);
-  std::vector<std::vector<ForwardJob>> forward_by_node_;
+  std::vector<std::vector<ForwardRun>> forward_by_node_;
   std::vector<std::vector<ReverseJob>> reverse_by_node_;
   TrajectoryStore* trajectories_;
   PositionTable* positions_;

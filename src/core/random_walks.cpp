@@ -184,9 +184,13 @@ StitchEngine::EngineState StitchEngine::release_state() {
 void StitchEngine::adopt_state(EngineState state) {
   const std::size_t n = net_->graph().node_count();
   if (state.store.held.size() != n ||
-      state.trajectories.forward.size() != n) {
+      state.trajectories.fragments.size() != n) {
     throw std::invalid_argument(
         "StitchEngine::adopt_state: node count mismatch");
+  }
+  if (!state.trajectories.runs_well_formed()) {
+    throw std::invalid_argument(
+        "StitchEngine::adopt_state: malformed trajectory run table");
   }
   if (state.lambda == 0) {
     throw std::invalid_argument("StitchEngine::adopt_state: lambda == 0");

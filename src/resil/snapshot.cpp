@@ -32,9 +32,10 @@ struct Writer {
   void u8(std::uint8_t v) { bytes.push_back(v); }
   void u32(std::uint32_t v) { raw(&v, sizeof v); }
   void u64(std::uint64_t v) { raw(&v, sizeof v); }
-  void u64s(const std::vector<std::uint64_t>& v) {
+  template <typename T>
+  void values(const std::vector<T>& v) {
     u64(v.size());
-    raw(v.data(), v.size() * sizeof(std::uint64_t));
+    raw(v.data(), v.size() * sizeof(T));
   }
 };
 
@@ -77,41 +78,27 @@ struct Reader {
     }
     return n;
   }
-  std::vector<std::uint64_t> u64s() {
-    std::vector<std::uint64_t> v(count(sizeof(std::uint64_t)));
-    raw(v.data(), v.size() * sizeof(std::uint64_t));
+  template <typename T>
+  std::vector<T> values() {
+    std::vector<T> v(count(sizeof(T)));
+    raw(v.data(), v.size() * sizeof(T));
     return v;
   }
 };
 
-// --- trajectory-map (de)serialization --------------------------------------
+// --- fragment-map (de)serialization ---------------------------------------
 // unordered_map iteration order is unspecified, so entries are emitted
 // sorted by key: the byte stream is a pure function of the logical state.
 // Per-key vector order is preserved verbatim -- fragment replay consumes by
 // index (swap-remove), so it is part of the bit-identity contract.
 
-std::uint32_t r_first(const core::ForwardHop& r) { return r.hop; }
-std::uint32_t r_second(const core::ForwardHop& r) { return r.next_slot; }
-std::uint32_t r_first(const core::Fragment& r) { return r.prev_slot; }
-std::uint32_t r_second(const core::Fragment& r) { return r.next_slot; }
-
-template <typename Record>
-Record make_record(std::uint32_t, std::uint32_t);
-template <>
-core::ForwardHop make_record(std::uint32_t a, std::uint32_t b) {
-  return core::ForwardHop{a, b};
-}
-template <>
-core::Fragment make_record(std::uint32_t a, std::uint32_t b) {
-  return core::Fragment{a, b};
-}
-
-template <typename Record>
-void write_trajectory_side(
+void write_fragments(
     Writer& w,
-    const std::vector<std::unordered_map<std::uint64_t, std::vector<Record>>>&
+    const std::vector<
+        std::unordered_map<std::uint64_t, std::vector<core::Fragment>>>&
         side) {
-  static_assert(sizeof(Record) == 8, "Record layout changed: bump version");
+  static_assert(sizeof(core::Fragment) == 8,
+                "Fragment layout changed: bump version");
   for (const auto& map : side) {
     std::vector<std::uint64_t> keys;
     keys.reserve(map.size());
@@ -119,21 +106,20 @@ void write_trajectory_side(
     std::sort(keys.begin(), keys.end());
     w.u64(keys.size());
     for (const std::uint64_t key : keys) {
-      const std::vector<Record>& records = map.at(key);
+      const std::vector<core::Fragment>& records = map.at(key);
       w.u64(key);
       w.u64(records.size());
-      for (const Record& r : records) {
-        w.u32(r_first(r));
-        w.u32(r_second(r));
+      for (const core::Fragment& r : records) {
+        w.u32(r.prev_slot);
+        w.u32(r.next_slot);
       }
     }
   }
 }
 
-template <typename Record>
-void read_trajectory_side(
+void read_fragments(
     Reader& r,
-    std::vector<std::unordered_map<std::uint64_t, std::vector<Record>>>&
+    std::vector<std::unordered_map<std::uint64_t, std::vector<core::Fragment>>>&
         side) {
   for (auto& map : side) {
     const std::uint64_t entries = r.count(/*key+count=*/16);
@@ -141,12 +127,11 @@ void read_trajectory_side(
     for (std::uint64_t e = 0; e < entries; ++e) {
       const std::uint64_t key = r.u64();
       const std::uint64_t n = r.count(/*two u32s=*/8);
-      std::vector<Record>& records = map[key];
+      std::vector<core::Fragment>& records = map[key];
       records.resize(n);
-      for (Record& rec : records) {
-        const std::uint32_t a = r.u32();
-        const std::uint32_t b = r.u32();
-        rec = make_record<Record>(a, b);
+      for (core::Fragment& rec : records) {
+        rec.prev_slot = r.u32();
+        rec.next_slot = r.u32();
       }
     }
   }
@@ -166,10 +151,10 @@ std::vector<std::uint8_t> encode_payload(const ServiceSnapshot& snap) {
   for (const auto& state : snap.rng_states) {
     for (const std::uint64_t word : state) w.u64(word);
   }
-  w.u64s(snap.connector_visits);
-  w.u64s(snap.inventory.unused);
-  w.u64s(snap.inventory.demand);
-  w.u64s(snap.inventory.last_visits);
+  w.values(snap.connector_visits);
+  w.values(snap.inventory.unused);
+  w.values(snap.inventory.demand);
+  w.values(snap.inventory.last_visits);
   for (const auto& held : snap.engine.store.held) {
     w.u64(held.size());
     for (const core::HeldToken& t : held) {
@@ -181,8 +166,11 @@ std::vector<std::uint8_t> encode_payload(const ServiceSnapshot& snap) {
       w.u8(t.used ? 1 : 0);
     }
   }
-  write_trajectory_side(w, snap.engine.trajectories.forward);
-  write_trajectory_side(w, snap.engine.trajectories.fragments);
+  const core::TrajectoryStore& traj = snap.engine.trajectories;
+  w.values(traj.run_key);
+  w.values(traj.run_begin);
+  w.values(traj.slots);
+  write_fragments(w, traj.fragments);
   return std::move(w.bytes);
 }
 
@@ -201,10 +189,10 @@ ServiceSnapshot decode_payload(const std::uint8_t* data, std::size_t size) {
   for (auto& state : snap.rng_states) {
     for (std::uint64_t& word : state) word = r.u64();
   }
-  snap.connector_visits = r.u64s();
-  snap.inventory.unused = r.u64s();
-  snap.inventory.demand = r.u64s();
-  snap.inventory.last_visits = r.u64s();
+  snap.connector_visits = r.values<std::uint64_t>();
+  snap.inventory.unused = r.values<std::uint64_t>();
+  snap.inventory.demand = r.values<std::uint64_t>();
+  snap.inventory.last_visits = r.values<std::uint64_t>();
   snap.engine.store = core::WalkStore(n);
   for (auto& held : snap.engine.store.held) {
     held.resize(r.count(/*token bytes=*/18));
@@ -217,9 +205,15 @@ ServiceSnapshot decode_payload(const std::uint8_t* data, std::size_t size) {
       t.used = r.u8() != 0;
     }
   }
-  snap.engine.trajectories = core::TrajectoryStore(n);
-  read_trajectory_side(r, snap.engine.trajectories.forward);
-  read_trajectory_side(r, snap.engine.trajectories.fragments);
+  core::TrajectoryStore& traj = snap.engine.trajectories;
+  traj = core::TrajectoryStore(n);
+  traj.run_key = r.values<std::uint64_t>();
+  traj.run_begin = r.values<std::uint64_t>();
+  traj.slots = r.values<std::uint32_t>();
+  if (!traj.runs_well_formed()) {
+    throw std::runtime_error("malformed trajectory run table");
+  }
+  read_fragments(r, traj.fragments);
   if (r.p != r.end) throw std::runtime_error("trailing payload bytes");
   return snap;
 }
@@ -392,6 +386,71 @@ ReadOutcome read_snapshot_file(const std::string& path) {
   } catch (const std::exception& e) {
     return {std::nullopt, std::string("payload decode failed: ") + e.what()};
   }
+}
+
+std::string validate_snapshot(const ServiceSnapshot& snap, const Graph& g,
+                              bool paths) {
+  const std::size_t n = g.node_count();
+  const core::TrajectoryStore& traj = snap.engine.trajectories;
+  if (snap.engine.store.held.size() != n || traj.fragments.size() != n) {
+    return "node count mismatch";
+  }
+  if (!traj.runs_well_formed()) return "malformed trajectory run table";
+  // Every run must stay inside the graph when replayed from its source
+  // (regeneration sends through each slot); remember where it ends.
+  std::vector<NodeId> run_end(traj.runs());
+  for (std::uint32_t j = 0; j < traj.runs(); ++j) {
+    NodeId v = traj.run_source(j);
+    if (v >= n) {
+      return "trajectory run " + std::to_string(j) + " has source " +
+             std::to_string(v) + " outside the graph";
+    }
+    for (std::uint32_t hop = 0; hop < traj.run_length(j); ++hop) {
+      const std::uint32_t slot = traj.exit_slot(j, hop);
+      if (slot >= g.degree(v)) {
+        return "trajectory run " + std::to_string(j) + " leaves node " +
+               std::to_string(v) + " through slot " + std::to_string(slot) +
+               " at hop " + std::to_string(hop);
+      }
+      v = g.neighbor(v, slot);
+    }
+    run_end[j] = v;
+  }
+  for (NodeId v = 0; v < n; ++v) {
+    const std::string at = " at node " + std::to_string(v);
+    for (const core::HeldToken& t : snap.engine.store.held[v]) {
+      if (t.source >= n) {
+        return "held token" + at + " has source " + std::to_string(t.source) +
+               " outside the graph";
+      }
+      // Only path regeneration reads arrival slots and runs; without it a
+      // lazy walk's token may legitimately never have crossed an edge.
+      if (!paths) continue;
+      if (t.length > 0 && t.arrival_slot >= g.degree(v)) {
+        return "held token" + at + " arrived through slot " +
+               std::to_string(t.arrival_slot) + " out of range";
+      }
+      if (t.kind == core::WalkKind::kPhase1) {
+        const std::uint32_t j = traj.find_run(t.source, t.seq);
+        if (j == core::TrajectoryStore::kNoRun ||
+            traj.run_length(j) != t.length || run_end[j] != v) {
+          return "Phase-1 token" + at + " does not match a recorded run";
+        }
+      }
+    }
+    for (const auto& [key, fragments] : traj.fragments[v]) {
+      const auto hop = static_cast<std::uint32_t>(key);
+      for (const core::Fragment& f : fragments) {
+        // Reverse replay leaves through prev_slot except at hop 0, where
+        // the token started (no arrival slot).
+        if (f.next_slot >= g.degree(v) ||
+            (hop > 0 && f.prev_slot >= g.degree(v))) {
+          return "fragment" + at + " has a slot out of range";
+        }
+      }
+    }
+  }
+  return "";
 }
 
 std::string snapshot_generation_path(const std::string& path,

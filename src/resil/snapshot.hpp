@@ -19,7 +19,7 @@
 // and per-request stats for all subsequent batches versus the uninterrupted
 // run, at every thread count x partition x mux width.
 //
-// On-disk format (version 1, native-endian, single-host checkpoint):
+// On-disk format (version 2, native-endian, single-host checkpoint):
 //
 //   [0]  magic   "DRWSNAP1"            (8 bytes)
 //   [8]  version u32 | reserved u32
@@ -27,11 +27,20 @@
 //   [24] CRC-32 (IEEE) of payload u32 | reserved u32
 //   [32] payload...
 //
+// The payload carries the Phase-1 trajectory columns as written
+// (TrajectoryStore::run_key, run_begin, slots, each a u64 count followed
+// by the raw array), then the per-node fragment maps sorted by key.
+// Version 1 stored per-node forward hash maps instead; such a file fails
+// the version check and the caller cold-starts.
+//
 // Writes are atomic: payload assembled in memory -> <path>.tmp -> fsync ->
 // rename(tmp, path) -> fsync(dir). A crash at any point leaves either the
 // previous complete snapshot or a stray .tmp; a torn/corrupt/truncated file
 // fails the magic/version/size/CRC checks and read_snapshot_file reports
 // the reason instead of returning garbage -- callers degrade to cold start.
+// The CRC catches accidents, not forgeries (anyone can recompute it), so
+// validate_snapshot checks a decoded snapshot against the graph before it
+// is adopted.
 #pragma once
 
 #include <array>
@@ -45,7 +54,7 @@
 
 namespace drw::resil {
 
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 /// The WalkInventory image rides along as raw arrays so resil does not
 /// depend on the service layer (the service copies in/out).
@@ -92,6 +101,18 @@ struct ReadOutcome {
 /// missing/torn/corrupt/mismatched file comes back as an empty snapshot
 /// plus the detection reason, so callers can log it and cold-start.
 ReadOutcome read_snapshot_file(const std::string& path);
+
+/// Structural checks against `g` that a CRC-valid but forged snapshot
+/// could fail, each of which would otherwise index out of bounds while
+/// serving: node counts; the run table's shape; every Phase-1 run replayed
+/// from its source stays on the graph's edges; every held token's source
+/// is a node; every fragment slot is one of its node's. With `paths`
+/// (regeneration on) also: a held token of length > 0 arrived through one
+/// of its holder's slots, and every Phase-1 token has a run of its length
+/// that ends at its holder. Returns the first violation found, or an
+/// empty string when the snapshot is safe to adopt.
+std::string validate_snapshot(const ServiceSnapshot& snap, const Graph& g,
+                              bool paths);
 
 /// Generation naming for rotated snapshots: slot 0 is `path` itself (the
 /// single-file layout), slot k >= 1 is `path.k` with 1 the newest

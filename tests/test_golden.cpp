@@ -7,7 +7,7 @@
 //
 //   * Phase 1 (ShortWalkPhaseProtocol): every holder's WalkStore::held list
 //     (source, seq, length, arrival_slot, in order) and, for the simple
-//     walk, TrajectoryStore::forward;
+//     walk, the TrajectoryStore's forward records;
 //   * NaiveSegmentProtocol: destinations and the PositionTable;
 //   * MANY-RANDOM-WALKS through the StitchEngine (Phase 1, stitching,
 //     deferred tails and, for the simple walk, regeneration) and its naive
@@ -72,22 +72,49 @@ std::uint64_t fingerprint(const core::WalkStore& store) {
   return fnv.value();
 }
 
-/// Keys are visited sorted, so the fingerprint covers map contents and
-/// every per-key hop order but not the hash map's bucket order.
-std::uint64_t fingerprint(const core::TrajectoryStore& trajectories) {
+/// The Phase-1 forward records as logical per-node (key, hop, slot)
+/// entries: each run is replayed from its source through Graph::neighbor,
+/// and every node's entries are hashed grouped by key in ascending key
+/// order, each key's hops in order. The pinned phase1_forward constants
+/// fix this layout (per node: key count; per key: key, hop count, then
+/// (hop, slot) pairs), so it must not change with the storage format.
+std::uint64_t fingerprint(const Graph& g,
+                          const core::TrajectoryStore& trajectories) {
+  struct Entry {
+    std::uint64_t key;
+    std::uint32_t hop;
+    std::uint32_t slot;
+  };
+  std::vector<std::vector<Entry>> at(g.node_count());
+  for (std::uint32_t j = 0; j < trajectories.runs(); ++j) {
+    NodeId v = trajectories.run_source(j);
+    for (std::uint32_t hop = 0; hop < trajectories.run_length(j); ++hop) {
+      const std::uint32_t slot = trajectories.exit_slot(j, hop);
+      at[v].push_back({trajectories.run_key[j], hop, slot});
+      v = g.neighbor(v, slot);
+    }
+  }
   Fnv fnv;
-  for (const auto& map : trajectories.forward) {
-    std::vector<std::uint64_t> keys;
-    for (const auto& entry : map) keys.push_back(entry.first);
-    std::sort(keys.begin(), keys.end());
-    fnv.add(keys.size());
-    for (const std::uint64_t key : keys) {
-      const std::vector<core::ForwardHop>& hops = map.at(key);
-      fnv.add(key);
-      fnv.add(hops.size());
-      for (const core::ForwardHop& hop : hops) {
-        fnv.add(hop.hop);
-        fnv.add(hop.next_slot);
+  for (std::vector<Entry>& entries : at) {
+    std::stable_sort(entries.begin(), entries.end(),
+                     [](const Entry& a, const Entry& b) {
+                       return a.key < b.key;
+                     });
+    std::uint64_t keys = 0;
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      keys += i == 0 || entries[i].key != entries[i - 1].key ? 1 : 0;
+    }
+    fnv.add(keys);
+    for (std::size_t i = 0; i < entries.size();) {
+      std::size_t end = i;
+      while (end < entries.size() && entries[end].key == entries[i].key) {
+        ++end;
+      }
+      fnv.add(entries[i].key);
+      fnv.add(end - i);
+      for (; i < end; ++i) {
+        fnv.add(entries[i].hop);
+        fnv.add(entries[i].slot);
       }
     }
   }
@@ -199,7 +226,7 @@ Fingerprints run_all(const Graph& g, TransitionModel model, unsigned threads,
     Fnv stats;
     add_stats(stats, net.run(phase1));
     out.phase1_held = fingerprint(store);
-    out.phase1_forward = fingerprint(trajectories);
+    out.phase1_forward = fingerprint(g, trajectories);
     out.phase1_stats = stats.value();
   }
 

@@ -61,20 +61,81 @@ TEST(ShortWalkPhase, TrajectoriesReplayToTheStoredEndpoint) {
   }
   ASSERT_NE(holder, kInvalidNode);
 
+  const std::uint32_t run = traj.find_run(0, 0);
+  ASSERT_NE(run, TrajectoryStore::kNoRun);
+  ASSERT_EQ(traj.runs(), 1u);
+  ASSERT_EQ(traj.run_length(run), length);
   NodeId at = 0;
   for (std::uint32_t hop = 0; hop < length; ++hop) {
-    const auto& records = traj.forward[at].at(TrajectoryStore::key(0, 0));
-    bool advanced = false;
-    for (const ForwardHop& r : records) {
-      if (r.hop == hop) {
-        at = g.neighbor(at, r.next_slot);
-        advanced = true;
-        break;
-      }
-    }
-    ASSERT_TRUE(advanced) << "missing hop " << hop;
+    const std::uint32_t slot = traj.exit_slot(run, hop);
+    ASSERT_LT(slot, g.degree(at)) << "hop " << hop;
+    at = g.neighbor(at, slot);
   }
   EXPECT_EQ(at, holder);
+}
+
+TEST(ShortWalkPhase, RevisitingTrajectoriesReplayAtEveryWidth) {
+  // A cycle makes tokens revisit nodes (and share them with other tokens of
+  // the same source); seqs are non-contiguous and given out of key order,
+  // and one job has length 0. Every run must replay from its source to the
+  // node holding its token, and the columns must not depend on the width.
+  const Graph g = gen::cycle(7);
+  std::vector<ShortWalkPhaseProtocol::Job> jobs;
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    for (const std::uint32_t seq : {9u, 2u, 40u, 5u}) {
+      jobs.push_back({v, seq, 11 + (seq + v) % 6});
+    }
+  }
+  jobs.push_back({3, 7, 0});
+  const auto record = [&](unsigned threads, WalkStore& store) {
+    Network net(g, 29);
+    net.set_threads(threads);
+    net.set_steal_chunk(1);
+    TrajectoryStore traj(g.node_count());
+    ShortWalkPhaseProtocol protocol(g, jobs, store, &traj);
+    net.run(protocol);
+    return traj;
+  };
+  WalkStore store(g.node_count());
+  const TrajectoryStore traj = record(1, store);
+  ASSERT_EQ(traj.runs(), jobs.size());
+  ASSERT_TRUE(traj.runs_well_formed());
+
+  std::size_t held = 0;
+  for (NodeId holder = 0; holder < g.node_count(); ++holder) {
+    for (const HeldToken& t : store.held[holder]) {
+      ++held;
+      const std::uint32_t run = traj.find_run(t.source, t.seq);
+      ASSERT_NE(run, TrajectoryStore::kNoRun) << t.source << "/" << t.seq;
+      ASSERT_EQ(traj.run_length(run), t.length);
+      NodeId at = t.source;
+      for (std::uint32_t hop = 0; hop < t.length; ++hop) {
+        const std::uint32_t slot = traj.exit_slot(run, hop);
+        ASSERT_LT(slot, g.degree(at));
+        at = g.neighbor(at, slot);
+      }
+      EXPECT_EQ(at, holder) << "run " << run;
+    }
+  }
+  EXPECT_EQ(held, jobs.size());
+  EXPECT_EQ(traj.run_length(traj.find_run(3, 7)), 0u);
+
+  WalkStore wide_store(g.node_count());
+  const TrajectoryStore wide = record(8, wide_store);
+  EXPECT_EQ(wide.run_key, traj.run_key);
+  EXPECT_EQ(wide.run_begin, traj.run_begin);
+  EXPECT_EQ(wide.slots, traj.slots);
+}
+
+TEST(ShortWalkPhase, RecordingRejectsDuplicateTokenIds) {
+  const Graph g = gen::cycle(5);
+  WalkStore store(g.node_count());
+  TrajectoryStore traj(g.node_count());
+  const std::vector<ShortWalkPhaseProtocol::Job> jobs{{1, 3, 4}, {1, 3, 6}};
+  EXPECT_THROW(ShortWalkPhaseProtocol(g, jobs, store, &traj),
+               std::invalid_argument);
+  // Without recording the seq is opaque: duplicates are the caller's call.
+  EXPECT_NO_THROW(ShortWalkPhaseProtocol(g, jobs, store, nullptr));
 }
 
 TEST(GetMoreWalks, StoresExactlyCountWalks) {

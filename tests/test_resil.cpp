@@ -13,6 +13,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "congest/network.hpp"
@@ -411,6 +412,139 @@ TEST(Resil, CorruptSnapshotsAreDetectedAndDegradeToColdStart) {
     WalkService s(net, diameter, resil_config(2, 1));
     EXPECT_FALSE(s.restore_snapshot(path));
   }
+}
+
+// ---------------------------------------------- forged snapshots -> cold start
+
+// The CRC is plain IEEE CRC-32, so anyone can recompute it: a forged file
+// can carry a valid checksum over structurally impossible state. Each case
+// below would index out of bounds while serving; each must be rejected
+// with a reason and degrade to a working cold start.
+TEST(Resil, ForgedSnapshotsFailStructuralValidation) {
+  Rng graph_rng(616);
+  const Graph g = gen::random_regular(48, 4, graph_rng);
+  const std::uint32_t diameter = exact_diameter(g);
+  const NodeId n = static_cast<NodeId>(g.node_count());
+  const std::string path = tmp_path("drw_resil_forged.snap");
+  {
+    congest::Network net(g, 7);
+    WalkService a(net, diameter, resil_config(2, 1));
+    a.serve(batch_one());
+    a.save_snapshot(path);
+  }
+  const resil::ReadOutcome pristine = resil::read_snapshot_file(path);
+  ASSERT_TRUE(pristine.snapshot.has_value()) << pristine.error;
+  const resil::ServiceSnapshot& base = *pristine.snapshot;
+  const core::TrajectoryStore& runs = base.engine.trajectories;
+  ASSERT_GT(runs.runs(), 2u);
+  ASSERT_GT(runs.run_length(0), 1u);
+  EXPECT_EQ(resil::validate_snapshot(base, g, true), "");
+
+  // A Phase-1 token that has moved, and where it is held.
+  NodeId holder = kInvalidNode;
+  std::size_t index = 0;
+  for (NodeId v = 0; v < n && holder == kInvalidNode; ++v) {
+    for (std::size_t i = 0; i < base.engine.store.held[v].size(); ++i) {
+      const core::HeldToken& t = base.engine.store.held[v][i];
+      if (t.kind == core::WalkKind::kPhase1 && t.length > 0) {
+        holder = v;
+        index = i;
+        break;
+      }
+    }
+  }
+  ASSERT_NE(holder, kInvalidNode);
+
+  const auto expect_cold_start = [&](const std::string& label,
+                                     const std::string& reason) {
+    congest::Network net(g, 7);
+    WalkService s(net, diameter, resil_config(2, 1));
+    ::testing::internal::CaptureStderr();
+    const bool warm = s.restore_snapshot(path);
+    const std::string log = ::testing::internal::GetCapturedStderr();
+    EXPECT_FALSE(warm) << label;
+    EXPECT_NE(log.find(reason), std::string::npos) << label << ": " << log;
+    EXPECT_NE(log.find("resil: cold start"), std::string::npos) << label;
+    const BatchReport report = s.serve({{3, 12, 2, true}});
+    ASSERT_EQ(report.results.size(), 1u) << label;
+    ASSERT_EQ(report.results[0].destinations.size(), 2u) << label;
+    for (const NodeId d : report.results[0].destinations) {
+      EXPECT_LT(d, n) << label;
+    }
+  };
+  const auto forge = [&](const std::string& label, const std::string& reason,
+                         const auto& mutate) {
+    resil::ServiceSnapshot forged = base;
+    mutate(forged);
+    resil::write_snapshot_file(path, forged);  // a valid CRC over it
+    expect_cold_start(label, reason);
+  };
+
+  forge("first slot out of range", "trajectory run 0 leaves node",
+        [&](resil::ServiceSnapshot& s) {
+          core::TrajectoryStore& t = s.engine.trajectories;
+          t.slots[t.run_begin[0]] = g.degree(t.run_source(0));
+        });
+  forge("later slot out of range", "at hop 1",
+        [&](resil::ServiceSnapshot& s) {
+          core::TrajectoryStore& t = s.engine.trajectories;
+          t.slots[t.run_begin[0] + 1] = 0xFFFFFFF0u;
+        });
+  forge("run source out of range", "outside the graph",
+        [&](resil::ServiceSnapshot& s) {
+          s.engine.trajectories.run_key.back() =
+              core::TrajectoryStore::key(n, 0);
+        });
+  forge("held source out of range", "outside the graph",
+        [&](resil::ServiceSnapshot& s) {
+          s.engine.store.held[holder][index].source = n + 5;
+        });
+  forge("arrival slot out of range", "arrived through slot",
+        [&](resil::ServiceSnapshot& s) {
+          s.engine.store.held[holder][index].arrival_slot = g.degree(holder);
+        });
+  forge("Phase-1 token without its run", "does not match a recorded run",
+        [&](resil::ServiceSnapshot& s) {
+          s.engine.store.held[holder][index].seq += 1000000;
+        });
+  forge("fragment slot out of range", "fragment at node 5",
+        [&](resil::ServiceSnapshot& s) {
+          s.engine.trajectories.fragments[5][core::TrajectoryStore::key(0, 3)]
+              .push_back(core::Fragment{0, g.degree(5)});
+        });
+  forge("run table not monotone", "malformed trajectory run table",
+        [&](resil::ServiceSnapshot& s) {
+          core::TrajectoryStore& t = s.engine.trajectories;
+          std::swap(t.run_begin[1], t.run_begin[2]);
+        });
+  forge("run table short of the slots", "malformed trajectory run table",
+        [&](resil::ServiceSnapshot& s) {
+          s.engine.trajectories.slots.push_back(0);
+        });
+  forge("run keys out of order", "malformed trajectory run table",
+        [&](resil::ServiceSnapshot& s) {
+          core::TrajectoryStore& t = s.engine.trajectories;
+          std::swap(t.run_key[0], t.run_key[1]);
+        });
+
+  {  // A version-1 file (per-node forward maps) is refused by version.
+    resil::write_snapshot_file(path, base);
+    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+    const std::uint32_t v1 = 1;
+    file.seekp(8);
+    file.write(reinterpret_cast<const char*>(&v1), sizeof v1);
+    file.close();
+    expect_cold_start("version 1 header", "unsupported snapshot version 1");
+  }
+
+  // The untouched snapshot still warm-starts.
+  resil::write_snapshot_file(path, base);
+  {
+    congest::Network net(g, 7);
+    WalkService s(net, diameter, resil_config(2, 1));
+    EXPECT_TRUE(s.restore_snapshot(path));
+  }
+  std::remove(path.c_str());
 }
 
 TEST(Resil, SaveSnapshotRequiresAPreparedEngine) {

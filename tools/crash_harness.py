@@ -27,6 +27,11 @@ Scenarios (each against a scratch directory):
      second (service.batch delay failpoint, with a live `drw request`
      client mid-flight), and is SIGKILLed there. An offline restart with
      --restore must report a warm restart from the surviving snapshot.
+  7. kill -9 of a path-recording server: `serve --paths` snapshots after
+     batch 1 and is SIGKILLed inside the next commit window. A restart
+     with --restore serving the remaining batches must report a warm
+     restart and print the same result lines, recorded paths included,
+     as an uninterrupted run prints for those batches.
 
 Exit status 0 when every scenario passes, 1 otherwise.
 
@@ -316,6 +321,84 @@ def scenario_kill_listening_server(drw: str, work: str) -> None:
           "restart after the listening-server kill reports a warm restart")
 
 
+# Every other request records its path; 3 requests per batch.
+PATH_REQUESTS = "".join(
+    f"{line} {i % 2}\n"
+    for i, line in enumerate(REQUESTS.strip().splitlines()))
+
+
+def result_lines(stdout: str, skip: int = 0) -> list:
+    """The `result[IDX] ...` lines of requests IDX >= skip, renumbered from
+    0, so a run that starts later compares line for line."""
+    out = []
+    for line in stdout.splitlines():
+        if not line.startswith("result["):
+            continue
+        idx, rest = line[len("result["):].split("]", 1)
+        if int(idx) >= skip:
+            out.append(f"result[{int(idx) - skip}]{rest}")
+    return out
+
+
+def scenario_kill_paths_server(drw: str, work: str) -> None:
+    print("scenario 7: kill -9 of a path-recording server, warm restart")
+    snap = os.path.join(work, "snap_paths.bin")
+    reqs = os.path.join(work, "reqs_paths.txt")
+    rest = os.path.join(work, "reqs_paths_rest.txt")
+    lines = PATH_REQUESTS.splitlines(keepends=True)
+    with open(reqs, "w") as f:
+        f.writelines(lines)
+    with open(rest, "w") as f:
+        f.writelines(lines[3:])  # batches 2.. of the full file
+    base = ["serve", "--graph=regular:64,4", "--seed=7", "--batch-size=3",
+            "--threads=2", "--paths"]
+    env = {k: v for k, v in os.environ.items() if k != "DRW_FAILPOINTS"}
+
+    whole = subprocess.run([drw] + base + [f"--requests={reqs}",
+                                           "--print-results"],
+                           env=env, capture_output=True, text=True,
+                           timeout=120)
+    check(whole.returncode == 0, "uninterrupted paths run exits 0")
+    expected = result_lines(whole.stdout, skip=3)  # after batch 1
+    check(any(" path:" in l for l in expected),
+          "uninterrupted run prints recorded paths after batch 1")
+
+    kill_env = dict(env)
+    kill_env["DRW_FAILPOINTS"] = "snapshot.commit@2:delay_ms=30000"
+    proc = subprocess.Popen([drw] + base + [f"--requests={reqs}",
+                                            f"--snapshot={snap}"],
+                            env=kill_env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.time() + 60
+        while time.time() < deadline:
+            if (os.path.exists(snap + ".tmp") and os.path.exists(snap)) or \
+                    proc.poll() is not None:
+                break
+            time.sleep(0.02)
+        check(proc.poll() is None, "paths server stalled in commit 2")
+        check(os.path.exists(snap), "batch-1 snapshot committed before kill")
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+
+    restart = subprocess.run([drw] + base + [f"--requests={rest}",
+                                             f"--snapshot={snap}",
+                                             "--restore", "--print-results"],
+                             env=env, capture_output=True, text=True,
+                             timeout=120)
+    check(restart.returncode == 0, "paths restart exits 0")
+    check("snapshot: warm restart" in restart.stdout,
+          "paths restart reports a warm restart")
+    got = result_lines(restart.stdout)
+    check(len(got) > 0 and got == expected,
+          f"restarted result lines equal the uninterrupted run's "
+          f"({len(got)} vs {len(expected)} lines)")
+
+
 def main() -> int:
     if len(sys.argv) != 2:
         print(__doc__)
@@ -331,6 +414,7 @@ def main() -> int:
         scenario_action_smoke(drw, work)
         scenario_kill_mid_convert(drw, work)
         scenario_kill_listening_server(drw, work)
+        scenario_kill_paths_server(drw, work)
     if failures:
         print(f"crash_harness: FAIL ({len(failures)} check(s))")
         return 1
