@@ -12,7 +12,10 @@
 //   * MANY-RANDOM-WALKS through the StitchEngine (Phase 1, stitching,
 //     deferred tails and, for the simple walk, regeneration) and its naive
 //     fallback: destinations and positions;
-//   * each run's RunStats{rounds, messages, max_backlog}.
+//   * each run's RunStats{rounds, messages, max_backlog};
+//   * the width-1 stitch entry points -- single_random_walk, a
+//     continue_walk chain and a width-1 WalkService -- with their walk
+//     counters (second test).
 //
 // Simple, lazy and Metropolis walks on a random regular graph, a cycle and
 // a lollipop, at executor widths {1, 2, 8} x both shard partitions. Every
@@ -32,6 +35,7 @@
 #include "core/walk_state.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
+#include "service/walk_service.hpp"
 #include "util/rng.hpp"
 
 namespace drw {
@@ -373,6 +377,244 @@ TEST(Golden, TokenWalkOutputsMatchPinnedFingerprints) {
       }
     }
   }
+}
+
+// ------------------------------------------------- width-1 stitch entry points
+//
+// The StitchEngine entry points that stitch one walk at a time on the
+// network's own node streams: single_random_walk (non-deferred tail plus
+// per-walk regeneration), a continue_walk chain (start_step > 0) and a
+// width-1 WalkService serving two batches that mix record_positions on
+// and off. Each stats fingerprint also folds in the walk counters, so the
+// GET-MORE-WALKS / SAMPLE-DESTINATION bookkeeping is pinned too.
+
+void add_counters(Fnv& fnv, const core::WalkCounters& c) {
+  fnv.add(c.lambda);
+  fnv.add(c.walks_prepared);
+  fnv.add(c.stitches);
+  fnv.add(c.sample_calls);
+  fnv.add(c.get_more_walks_calls);
+  fnv.add(c.naive_tail_steps);
+  add_stats(fnv, c.phase1);
+  add_stats(fnv, c.phase2);
+  add_stats(fnv, c.regen);
+}
+
+struct StitchFingerprints {
+  std::uint64_t single_destination = 0;
+  std::uint64_t single_positions = 0;
+  std::uint64_t single_stats = 0;
+  std::uint64_t chain_destinations = 0;
+  std::uint64_t chain_positions = 0;
+  std::uint64_t chain_stats = 0;
+  std::uint64_t service_destinations = 0;
+  std::uint64_t service_paths = 0;
+  std::uint64_t service_stats = 0;
+  /// Not pinned: whether any workload fell back on GET-MORE-WALKS.
+  std::uint64_t get_more_walks_calls = 0;
+
+  bool operator==(const StitchFingerprints& o) const {
+    return single_destination == o.single_destination &&
+           single_positions == o.single_positions &&
+           single_stats == o.single_stats &&
+           chain_destinations == o.chain_destinations &&
+           chain_positions == o.chain_positions &&
+           chain_stats == o.chain_stats &&
+           service_destinations == o.service_destinations &&
+           service_paths == o.service_paths &&
+           service_stats == o.service_stats;
+  }
+};
+
+std::string describe(const StitchFingerprints& f) {
+  char buf[512];
+  std::snprintf(buf, sizeof buf,
+                "{0x%016llxull, 0x%016llxull, 0x%016llxull, 0x%016llxull, "
+                "0x%016llxull, 0x%016llxull, 0x%016llxull, 0x%016llxull, "
+                "0x%016llxull}",
+                static_cast<unsigned long long>(f.single_destination),
+                static_cast<unsigned long long>(f.single_positions),
+                static_cast<unsigned long long>(f.single_stats),
+                static_cast<unsigned long long>(f.chain_destinations),
+                static_cast<unsigned long long>(f.chain_positions),
+                static_cast<unsigned long long>(f.chain_stats),
+                static_cast<unsigned long long>(f.service_destinations),
+                static_cast<unsigned long long>(f.service_paths),
+                static_cast<unsigned long long>(f.service_stats));
+  return buf;
+}
+
+StitchFingerprints run_stitch(const Graph& g, TransitionModel model,
+                              unsigned threads,
+                              congest::Partition partition) {
+  const auto configure = [&](congest::Network& net) {
+    net.set_threads(threads);
+    net.set_partition(partition);
+  };
+  const std::uint32_t diameter = exact_diameter(g);
+  const bool record = model == TransitionModel::kSimple;
+  // Short lambda and half a short walk per edge endpoint: the walks below
+  // revisit connectors often enough to drain their pools.
+  core::Params params = core::Params::paper();
+  params.lambda_override = 4;
+  params.eta = 0.5;
+  params.transition = model;
+  params.record_trajectories = record;
+  StitchFingerprints out;
+
+  // single_random_walk: Phase 1, stitching, the non-deferred naive tail
+  // and (simple walk) per-walk regeneration.
+  {
+    congest::Network net(g, 9101);
+    configure(net);
+    const core::SingleWalkOutput single =
+        core::single_random_walk(net, 2, 150, params, diameter);
+    Fnv destination;
+    destination.add(single.result.destination);
+    Fnv stats;
+    add_stats(stats, single.result.stats);
+    add_counters(stats, single.result.counters);
+    out.single_destination = destination.value();
+    out.single_positions = fingerprint(single.positions);
+    out.single_stats = stats.value();
+    out.get_more_walks_calls += single.result.counters.get_more_walks_calls;
+  }
+
+  // A continue_walk chain: one logical walk extended twice, each leg
+  // starting at the previous destination with start_step > 0.
+  {
+    congest::Network net(g, 9102);
+    configure(net);
+    core::StitchEngine engine(net, params, diameter);
+    engine.prepare(1, 80);
+    std::vector<NodeId> destinations;
+    Fnv stats;
+    core::WalkResult leg = engine.walk(1, 50, 5);
+    destinations.push_back(leg.destination);
+    add_stats(stats, leg.stats);
+    add_counters(stats, leg.counters);
+    std::uint64_t step = 50;
+    for (const std::uint64_t l : {80u, 33u}) {
+      leg = engine.continue_walk(leg.destination, l, 5, step);
+      step += l;
+      destinations.push_back(leg.destination);
+      add_stats(stats, leg.stats);
+      add_counters(stats, leg.counters);
+      out.get_more_walks_calls += leg.counters.get_more_walks_calls;
+    }
+    add_stats(stats, engine.total_stats());
+    out.chain_destinations = fingerprint(destinations);
+    out.chain_positions = fingerprint(engine.positions());
+    out.chain_stats = stats.value();
+  }
+
+  // A width-1 WalkService: two batches (Phase 1, then inventory reuse with
+  // replenishment) mixing recorded and unrecorded requests, walks too
+  // short to stitch and a zero-length walk.
+  {
+    congest::Network net(g, 9103);
+    configure(net);
+    service::ServiceConfig config;
+    config.params = params;
+    config.enable_paths = record;
+    config.mux_width = 1;
+    service::WalkService svc(net, diameter, config);
+    const std::size_t n = g.node_count();
+    Fnv destinations;
+    Fnv paths;
+    Fnv stats;
+    for (std::uint32_t batch = 0; batch < 2; ++batch) {
+      const auto at = [&](std::uint32_t i) {
+        return static_cast<NodeId>((i * 7 + batch * 3) % n);
+      };
+      const std::vector<service::WalkRequest> requests = {
+          {at(0), 90, 2, record},
+          {at(1), 64, 1, false},
+          {at(2), 70, 1, record},
+          {at(3), 5, 2, record},
+          {at(4), 0, 1, record},
+      };
+      const service::BatchReport report = svc.serve(requests);
+      for (const service::RequestResult& r : report.results) {
+        EXPECT_TRUE(r.ok());
+        destinations.add(fingerprint(r.destinations));
+        paths.add(r.paths.size());
+        for (const std::vector<NodeId>& path : r.paths) {
+          paths.add(fingerprint(path));
+        }
+        add_stats(stats, r.stats);
+        add_counters(stats, r.counters);
+        out.get_more_walks_calls += r.counters.get_more_walks_calls;
+      }
+      add_stats(stats, report.stats);
+      stats.add(report.stitches);
+      stats.add(report.replenishments);
+    }
+    out.service_destinations = destinations.value();
+    out.service_paths = paths.value();
+    out.service_stats = stats.value();
+  }
+  return out;
+}
+
+struct StitchGoldenCase {
+  Topology topology;
+  TransitionModel model;
+  const char* name;
+  StitchFingerprints expected;
+};
+
+// Captured from the inline Phase-2 stitch loop of StitchEngine::walk_impl.
+const StitchGoldenCase kStitchGolden[] = {
+    {Topology::kRegular, TransitionModel::kSimple, "regular/simple",
+     {0xe869de19d5203fc6ull, 0xa8e6da2357dce931ull, 0xb0a367bc9e356c82ull,
+      0xe49d11fe96e10a68ull, 0x092dfde41ef68583ull, 0x47f734259f2cd1c5ull,
+      0x68807822f2d2619dull, 0xe626f76bb4132247ull, 0x1435421c494bf3c9ull}},
+    {Topology::kRegular, TransitionModel::kLazy, "regular/lazy",
+     {0xf564bdddf7dcba38ull, 0xcbf29ce484222325ull, 0x1373d9aece53dca0ull,
+      0x57a1ff49148b904cull, 0xcbf29ce484222325ull, 0xab1a1de92a8826b2ull,
+      0x525c1cca6d776ce0ull, 0xf14b84b8290b8965ull, 0x76d66dbdbc31017dull}},
+    {Topology::kCycle, TransitionModel::kSimple, "cycle/simple",
+     {0x0de21504f16dc720ull, 0x5e33e3029aab10bdull, 0x4e045a1616a7c537ull,
+      0xd45969620363c1d9ull, 0x02bbbcdfa2d14325ull, 0xe33b4661ef4c3f72ull,
+      0xe33d8f84cc6d3a87ull, 0xfedc0252060bb459ull, 0xf8e14e163f7fcf4eull}},
+    {Topology::kCycle, TransitionModel::kLazy, "cycle/lazy",
+     {0x1c894c9eab51b351ull, 0xcbf29ce484222325ull, 0x8cc889ce2e238551ull,
+      0x1ace682fe3551b70ull, 0xcbf29ce484222325ull, 0xb61f002d886bce89ull,
+      0x5a5b6f118263500dull, 0xf14b84b8290b8965ull, 0x98d6c8c4b35dde3eull}},
+    {Topology::kLollipop, TransitionModel::kSimple, "lollipop/simple",
+     {0x2cdcdc0dfc5d1141ull, 0x47d0c507a90365f3ull, 0x37479c76a40759f8ull,
+      0x2dacefb74d4adb49ull, 0x6427c3b1aa5bde9bull, 0x69b89868d6a7eb83ull,
+      0x46b6af52ada83522ull, 0xa75d7cab21f5e2d5ull, 0x15cd9722b3486216ull}},
+    {Topology::kLollipop, TransitionModel::kMetropolisUniform,
+     "lollipop/metropolis",
+     {0x62a8a26869b5f68bull, 0xcbf29ce484222325ull, 0x36b81a257ce8b6d9ull,
+      0xf70820c70abf0de3ull, 0xcbf29ce484222325ull, 0x99c6dffb1329ecabull,
+      0x1e43c33f34d4df1aull, 0xf14b84b8290b8965ull, 0x27ba526f857209f9ull}},
+};
+
+TEST(Golden, WidthOneStitchEntryPointsMatchPinnedFingerprints) {
+  const unsigned kThreads[] = {1, 2, 8};
+  const congest::Partition kPartitions[] = {congest::Partition::kEdgeWeighted,
+                                            congest::Partition::kNodeCount};
+  std::uint64_t get_more_walks_calls = 0;
+  for (const StitchGoldenCase& c : kStitchGolden) {
+    const Graph g = make_graph(c.topology);
+    for (const unsigned threads : kThreads) {
+      for (const congest::Partition partition : kPartitions) {
+        const StitchFingerprints got =
+            run_stitch(g, c.model, threads, partition);
+        get_more_walks_calls += got.get_more_walks_calls;
+        EXPECT_TRUE(got == c.expected)
+            << c.name << " threads=" << threads << " partition="
+            << (partition == congest::Partition::kNodeCount ? "nodes"
+                                                             : "edges")
+            << "\n  got " << describe(got);
+      }
+    }
+  }
+  EXPECT_GT(get_more_walks_calls, 0u)
+      << "the workloads must exercise GET-MORE-WALKS";
 }
 
 }  // namespace
