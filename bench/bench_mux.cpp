@@ -2,10 +2,11 @@
 // round multiplexer):
 //
 //   A batch of independent long walks is stitched three ways from the same
-//   prepared inventory: kOff (legacy walk-at-a-time), kSerial (the
-//   conflict-aware schedule, one lane per Network::run) and kMux (the same
-//   schedule with every non-conflicting group executed as one multiplexed
-//   run). Two gates:
+//   prepared inventory: width 1 (walk-at-a-time, the default; reported
+//   under the historical "off" keys), kSerial (the conflict-aware
+//   schedule, one lane per Network::run) and kMux (the same schedule with
+//   every non-conflicting group executed as one multiplexed run). Two
+//   gates:
 //
 //   * Round fusion (deterministic, binds on EVERY host): mux-of-8 must cut
 //     the stitch-phase round count >= 2x vs the serial schedule. Rounds
@@ -61,12 +62,12 @@ struct ModeResult {
   double wall_ms = 0.0;
 };
 
-/// One full serve of the batch in the given mode, on a fresh engine with a
-/// fresh (deterministically re-prepared) inventory; only the scheduler run
-/// is timed, Phase 1 is identical warmup for every mode.
+/// One full serve of the batch in the given mode and width, on a fresh
+/// engine with a fresh (deterministically re-prepared) inventory; only the
+/// scheduler run is timed, Phase 1 is identical warmup for every mode.
 ModeResult run_mode(const Graph& g, std::uint32_t diameter,
                     const std::vector<service::WalkRequest>& requests,
-                    service::MuxMode mode, unsigned threads) {
+                    service::MuxMode mode, unsigned width, unsigned threads) {
   congest::Network net(g, 515151);
   net.set_threads(threads);
   core::StitchEngine engine(net, core::Params::paper(), diameter);
@@ -78,7 +79,7 @@ ModeResult run_mode(const Graph& g, std::uint32_t diameter,
 
   service::MuxOptions options;
   options.mode = mode;
-  options.width = kWidth;
+  options.width = width;
   service::BatchScheduler scheduler(engine);
   const auto start = std::chrono::steady_clock::now();
   const service::BatchScheduler::Outcome out =
@@ -113,10 +114,12 @@ ModeResult run_mode(const Graph& g, std::uint32_t diameter,
 /// determinism check.
 ModeResult run_mode_best(const Graph& g, std::uint32_t diameter,
                          const std::vector<service::WalkRequest>& requests,
-                         service::MuxMode mode, unsigned threads) {
-  ModeResult best = run_mode(g, diameter, requests, mode, threads);
+                         service::MuxMode mode, unsigned width,
+                         unsigned threads) {
+  ModeResult best = run_mode(g, diameter, requests, mode, width, threads);
   for (int rep = 0; rep < 2; ++rep) {
-    ModeResult again = run_mode(g, diameter, requests, mode, threads);
+    ModeResult again =
+        run_mode(g, diameter, requests, mode, width, threads);
     if (again.destinations != best.destinations) {
       std::fprintf(stderr, "bench_mux: same-seed reps diverged\n");
       std::exit(1);
@@ -144,7 +147,7 @@ int run_experiment() {
       "MUX / concurrent cross-walk stitching vs sequential",
       "16 stitched walks of length 4096: the conflict-aware schedule run "
       "as mux-of-8 groups (one Network::run per wave) vs one lane at a "
-      "time vs the legacy walk-at-a-time path; mux must fuse stitch "
+      "time vs width-1 walk-at-a-time stitching; mux must fuse stitch "
       "rounds >=2x and results must match the serial schedule exactly");
 
   const unsigned hw = std::thread::hardware_concurrency();
@@ -153,11 +156,11 @@ int run_experiment() {
   // Deterministic comparison at 1 thread (round counts are
   // thread-invariant; these runs also give the 1-thread wall trajectory).
   const ModeResult off1 = run_mode_best(g, diameter, requests,
-                                        service::MuxMode::kOff, 1);
-  const ModeResult serial1 = run_mode_best(g, diameter, requests,
-                                           service::MuxMode::kSerial, 1);
+                                        service::MuxMode::kMux, 1, 1);
+  const ModeResult serial1 = run_mode_best(
+      g, diameter, requests, service::MuxMode::kSerial, kWidth, 1);
   const ModeResult mux1 = run_mode_best(g, diameter, requests,
-                                        service::MuxMode::kMux, 1);
+                                        service::MuxMode::kMux, kWidth, 1);
 
   // Lane isolation on the bench workload: the mux must reproduce the
   // serial schedule bit-for-bit.
@@ -173,16 +176,18 @@ int run_experiment() {
   const ModeResult serial_w =
       wall_threads == 1 ? serial1
                         : run_mode_best(g, diameter, requests,
-                                        service::MuxMode::kSerial,
+                                        service::MuxMode::kSerial, kWidth,
                                         wall_threads);
   const ModeResult mux_w =
       wall_threads == 1 ? mux1
                         : run_mode_best(g, diameter, requests,
-                                        service::MuxMode::kMux, wall_threads);
+                                        service::MuxMode::kMux, kWidth,
+                                        wall_threads);
   const ModeResult off_w =
       wall_threads == 1 ? off1
                         : run_mode_best(g, diameter, requests,
-                                        service::MuxMode::kOff, wall_threads);
+                                        service::MuxMode::kMux, 1,
+                                        wall_threads);
 
   const double round_fusion =
       mux1.stitch_rounds == 0
@@ -197,7 +202,7 @@ int run_experiment() {
   bench::Table table({"mode", "stitch rounds", "batch rounds", "waves",
                       "conflicts", "wall ms (1t)",
                       "wall ms (" + std::to_string(wall_threads) + "t)"});
-  table.add_row({"off (legacy)", bench::fmt_u64(off1.stitch_rounds),
+  table.add_row({"width 1", bench::fmt_u64(off1.stitch_rounds),
                  bench::fmt_u64(off1.batch_rounds), "-", "-",
                  bench::fmt_double(off1.wall_ms, 1),
                  bench::fmt_double(off_w.wall_ms, 1)});
@@ -259,7 +264,7 @@ int run_experiment() {
   std::printf(
       "acceptance: mux == serial schedule: %s; stitch-round fusion %.2fx "
       "(>=%.1fx gate %s); wall mux-vs-serial @%ut %.2fx (>=%.1fx gate %s; "
-      ">=%.2fx floor %s); legacy-vs-mux wall %.2fx (info)\n",
+      ">=%.2fx floor %s); width-1-vs-mux wall %.2fx (info)\n",
       identical ? "PASS" : "FAIL", round_fusion, kRoundFusionGate,
       pass_rounds ? "PASS" : "FAIL", wall_threads, wall_speedup, kWallGate8,
       !enforce8 ? "SKIP, <8 hw threads" : (pass8 ? "PASS" : "FAIL"),

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "congest/mux.hpp"
 #include "congest/primitives.hpp"
 #include "obs/trace.hpp"
 
@@ -89,23 +88,6 @@ void StitchEngine::prepare(std::uint64_t k, std::uint64_t l) {
   // Stash Phase-1 cost so the next walk() can report it.
   pending_phase1_ = stats;
   pending_prepared_ = prepared_count;
-}
-
-WalkResult StitchEngine::naive_walk_result(NodeId source, std::uint64_t l,
-                                           std::uint32_t walk_id,
-                                           bool record_start,
-                                           bool record_positions) {
-  NaiveSegmentProtocol::Job job{source, l, walk_id, 0, record_start};
-  NaiveSegmentProtocol protocol(
-      net_->graph(), {job},
-      params_.record_trajectories && record_positions ? &positions_ : nullptr,
-      params_.transition);
-  WalkResult result;
-  result.stats = net_->run(protocol);
-  result.counters.naive_tail_steps = l;
-  result.destination = protocol.destinations()[0];
-  total_ += result.stats;
-  return result;
 }
 
 WalkResult StitchEngine::walk(NodeId source, std::uint64_t l,
@@ -232,8 +214,8 @@ StitchEngine::TailOutcome StitchEngine::run_deferred_tails() {
                  deferred_tails_.size());
   // Canonical ascending-walk_id order: tail tokens draw from the SHARED
   // node streams, so the job order must not depend on the mux scheduler's
-  // task completion order. Legacy callers defer in walk_id order already
-  // (stable: preserves their order).
+  // task completion order. Walk-at-a-time callers defer in walk_id order
+  // already (stable: preserves their order).
   std::stable_sort(deferred_tails_.begin(), deferred_tails_.end(),
                    [](const NaiveSegmentProtocol::Job& a,
                       const NaiveSegmentProtocol::Job& b) {
@@ -257,20 +239,20 @@ StitchEngine::TailOutcome StitchEngine::run_deferred_tails() {
 
 StitchEngine::WalkTask::WalkTask(StitchEngine& engine, NodeId source,
                                  std::uint64_t l, std::uint32_t walk_id,
-                                 bool record_positions)
-    : engine_(&engine), source_(source), l_(l), walk_id_(walk_id),
+                                 bool record_positions,
+                                 std::uint64_t start_step)
+    : engine_(&engine), l_(l), start_step_(start_step), walk_id_(walk_id),
       record_(engine.params_.record_trajectories && record_positions),
-      current_(source),
-      rngs_(congest::ProtocolMux::derive_lane_rngs(
-          engine.net_->seed(), walk_id,
-          engine.net_->graph().node_count())) {
+      current_(source) {
   result_.counters.lambda = engine.lambda_;
   result_.counters.phase1 = engine.pending_phase1_;
   result_.counters.walks_prepared = engine.pending_prepared_;
   engine.pending_phase1_ = {};
   engine.pending_prepared_ = 0;
   result_.stats += result_.counters.phase1;
-  if (record_) {
+  // The source knows it is step `start_step` of the walk (node-local
+  // knowledge; for a continuation the previous leg already recorded it).
+  if (record_ && start_step == 0) {
     engine.positions_[source].push_back(WalkPosition{walk_id, 0});
   }
   begin_stitch_or_finish();
@@ -287,9 +269,9 @@ void StitchEngine::WalkTask::begin_stitch_or_finish() {
   }
 }
 
-void StitchEngine::WalkTask::advance(const congest::RunStats& lane_stats) {
-  result_.stats += lane_stats;
-  result_.counters.phase2 += lane_stats;
+void StitchEngine::WalkTask::advance(const congest::RunStats& stats) {
+  result_.stats += stats;
+  result_.counters.phase2 += stats;
   switch (step_) {
     case Step::kBfs: {
       auto& bfs = static_cast<congest::BfsTreeProtocol&>(*protocol_);
@@ -306,7 +288,8 @@ void StitchEngine::WalkTask::advance(const congest::RunStats& lane_stats) {
       ++result_.counters.sample_calls;
       if (candidate_.count != 0) {
         // Sweep 3: broadcast down the tree to delete the sampled token at
-        // its holder and hand the walk token to it.
+        // its holder ("so that this random walk is not reused") and hand
+        // the walk token to it.
         WalkStore* store = &engine_->store_;
         const auto held_index = candidate_.held_index;
         protocol_ = std::make_unique<congest::BroadcastProtocol>(
@@ -327,8 +310,11 @@ void StitchEngine::WalkTask::advance(const congest::RunStats& lane_stats) {
       if (step_ == Step::kResample) {
         throw std::logic_error("StitchEngine: GET-MORE-WALKS yielded none");
       }
-      // Pool at the connector is dry: GET-MORE-WALKS, scaled by the
-      // prepared walk count exactly as in walk_impl.
+      // All short walks from the connector are used up: GET-MORE-WALKS.
+      // When the engine serves k walks (MANY-RANDOM-WALKS), connectors can
+      // recur up to k times as often, so the batch is scaled by k -- the
+      // count aggregation makes the bigger batch free (still O(lambda)
+      // rounds, Lemma 2.2).
       const Params& params = engine_->params_;
       const std::uint32_t count = static_cast<std::uint32_t>(
           std::min<std::uint64_t>(
@@ -352,7 +338,7 @@ void StitchEngine::WalkTask::advance(const congest::RunStats& lane_stats) {
       break;
     case Step::kCommit:
       segments_.push_back(
-          Segment{candidate_, current_, completed_});
+          Segment{candidate_, current_, start_step_ + completed_});
       ++engine_->connector_visits_[current_];
       completed_ += candidate_.length;
       current_ = candidate_.holder;
@@ -369,17 +355,19 @@ void StitchEngine::WalkTask::finish() {
   protocol_.reset();
   result_.destination = current_;
 
-  // "Walk naively until l steps are completed": deferred into the engine's
-  // shared concurrent tail run (the source/connector position is already
-  // recorded, so record_start stays false).
+  // "Walk naively until l steps are completed (at most another 2*lambda)":
+  // deferred into the engine's shared concurrent tail run (the connector's
+  // position is already recorded, so record_start stays false).
   const std::uint64_t tail = l_ - completed_;
   if (tail > 0) {
     result_.counters.naive_tail_steps = tail;
     engine_->deferred_tails_.push_back(NaiveSegmentProtocol::Job{
-        current_, tail, walk_id_, completed_, false, record_});
+        current_, tail, walk_id_, start_step_ + completed_, false, record_});
   }
 
-  // Regeneration jobs (Section 2.2), deferred into one batched replay.
+  // Regeneration jobs (Section 2.2): every stitched segment is replayed so
+  // all nodes on it learn their position(s); deferred into one batched
+  // replay.
   if (record_) {
     for (const Segment& s : segments_) {
       if (s.token.kind == WalkKind::kPhase1) {
@@ -409,7 +397,7 @@ StitchEngine::WalkTask StitchEngine::start_walk_task(NodeId source,
   if (l > prepared_l_) {
     throw std::logic_error("StitchEngine: walk longer than prepared for");
   }
-  return WalkTask(*this, source, l, walk_id, record_positions);
+  return WalkTask(*this, source, l, walk_id, record_positions, 0);
 }
 
 congest::RunStats StitchEngine::run_deferred_regen() {
@@ -447,160 +435,47 @@ WalkResult StitchEngine::walk_impl(NodeId source, std::uint64_t l,
   if (l > prepared_l_) {
     throw std::logic_error("StitchEngine: walk longer than prepared for");
   }
-  const Graph& g = net_->graph();
-  const bool record = params_.record_trajectories && record_positions;
-
-  if (naive_mode_) {
-    if (defer_tail && l > 0) {
-      // The whole walk becomes one deferred token job so a batch of naive
-      // walks runs concurrently (O(k + l) rounds, the MANY-RANDOM-WALKS
-      // fallback) instead of sequentially.
-      deferred_tails_.push_back(NaiveSegmentProtocol::Job{
-          source, l, walk_id, start_step, true, record});
-      WalkResult result;
-      result.counters.lambda = lambda_;
-      result.counters.naive_tail_steps = l;
-      result.destination = source;  // real destination: run_deferred_tails()
-      return result;
-    }
-    WalkResult result = naive_walk_result(source, l, walk_id, true, record);
-    result.counters.lambda = lambda_;
-    return result;
-  }
-
+  const std::size_t deferred = deferred_tails_.size();
   WalkResult result;
-  result.counters.lambda = lambda_;
-  result.counters.phase1 = pending_phase1_;
-  result.counters.walks_prepared = pending_prepared_;
-  pending_phase1_ = {};
-  pending_prepared_ = 0;
-
-  // The source knows it is step `start_step` of the walk (node-local
-  // knowledge; for a continuation the previous phase already recorded it).
-  if (record && start_step == 0) {
-    positions_[source].push_back(WalkPosition{walk_id, 0});
-  }
-
-  // Phase 2: stitch short walks "while length of walk completed is at most
-  // l - 2*lambda" (Algorithm 1).
-  struct Segment {
-    SampleConvergecast::Candidate token;
-    NodeId from = kInvalidNode;
-    std::uint64_t offset = 0;
-  };
-  std::vector<Segment> segments;
-  congest::RunStats phase2;
-  NodeId current = source;
-  std::uint64_t completed = 0;
-  while (completed + 2 * static_cast<std::uint64_t>(lambda_) <= l) {
-    congest::BfsTree tree = congest::build_bfs_tree(*net_, current, phase2);
-
-    SampleConvergecast sample(tree, store_, current);
-    phase2 += net_->run(sample);
-    ++result.counters.sample_calls;
-    SampleConvergecast::Candidate candidate = sample.result();
-
-    if (candidate.count == 0) {
-      // All short walks from `current` are used up: GET-MORE-WALKS.
-      // When the engine serves k walks (MANY-RANDOM-WALKS), connectors can
-      // recur up to k times as often, so the batch is scaled by k -- the
-      // count aggregation makes the bigger batch free (still O(lambda)
-      // rounds, Lemma 2.2).
-      const std::uint32_t count = static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(
-              static_cast<std::uint64_t>(
-                  params_.get_more_walks_count(l, lambda_, diameter_)) *
-                  prepared_k_,
-              1u << 20));
-      GetMoreWalksProtocol more(
-          g, current, count, lambda_, params_.random_lengths, store_,
-          params_.record_trajectories ? &trajectories_ : nullptr,
-          params_.transition);
-      phase2 += net_->run(more);
-      ++result.counters.get_more_walks_calls;
-
-      SampleConvergecast retry(tree, store_, current);
-      phase2 += net_->run(retry);
-      ++result.counters.sample_calls;
-      candidate = retry.result();
-      if (candidate.count == 0) {
-        throw std::logic_error("StitchEngine: GET-MORE-WALKS yielded none");
-      }
+  if (naive_mode_) {
+    // The whole walk is one naive segment. Deferred, a batch of naive walks
+    // runs as one concurrent token run (O(k + l) rounds, the
+    // MANY-RANDOM-WALKS fallback) instead of sequentially.
+    deferred_tails_.push_back(NaiveSegmentProtocol::Job{
+        source, l, walk_id, start_step, start_step == 0,
+        params_.record_trajectories && record_positions});
+    result.counters.lambda = lambda_;
+    result.counters.naive_tail_steps = l;
+    result.destination = source;  // real destination: run_deferred_tails()
+  } else {
+    // Phase 2: the stitch state machine, each traversal run solo on the
+    // network's own node streams.
+    WalkTask task(*this, source, l, walk_id, record_positions, start_step);
+    while (!task.finished()) {
+      const congest::RunStats stats = net_->run(task.protocol());
+      total_ += stats;
+      task.advance(stats);
     }
-
-    // Sweep 3: broadcast down the tree to delete the sampled token at its
-    // holder ("so that this random walk is not reused") and hand the walk
-    // token to it.
-    WalkStore* store = &store_;
-    const auto held_index = candidate.held_index;
-    congest::BroadcastProtocol commit(
-        tree,
-        congest::Message{0, {candidate.holder, candidate.held_index, 0, 0}},
-        [store, held_index](NodeId at, const congest::Message& m) {
-          if (at != static_cast<NodeId>(m.f[0])) return;
-          auto& held = store->held[at][held_index];
-          if (held.used) {
-            throw std::logic_error("StitchEngine: token already used");
-          }
-          held.used = true;
-        });
-    phase2 += net_->run(commit);
-
-    segments.push_back(Segment{candidate, current, start_step + completed});
-    ++connector_visits_[current];
-    completed += candidate.length;
-    current = candidate.holder;
-    ++result.counters.stitches;
+    result = task.result();
   }
 
-  // "Walk naively until l steps are completed (at most another 2*lambda)."
-  result.counters.phase2 = phase2;
-  result.stats += result.counters.phase1;
-  result.stats += phase2;
-  total_ += phase2;
-
-  NodeId destination = current;
-  const std::uint64_t tail = l - completed;
-  if (tail > 0) {
-    NaiveSegmentProtocol::Job job{current, tail, walk_id,
-                                  start_step + completed, false, record};
-    result.counters.naive_tail_steps = tail;
-    if (defer_tail) {
-      deferred_tails_.push_back(job);
-    } else {
-      NaiveSegmentProtocol protocol(
-          g, {job}, record ? &positions_ : nullptr, params_.transition);
-      const congest::RunStats tail_stats = net_->run(protocol);
-      result.stats += tail_stats;
-      total_ += tail_stats;
-      destination = protocol.destinations()[0];
-    }
+  // A walk that does not defer its tail runs the segment just queued now,
+  // on its own.
+  if (!defer_tail && deferred_tails_.size() > deferred) {
+    NaiveSegmentProtocol tail(
+        net_->graph(), {deferred_tails_.back()},
+        params_.record_trajectories ? &positions_ : nullptr,
+        params_.transition);
+    deferred_tails_.pop_back();
+    const congest::RunStats stats = net_->run(tail);
+    total_ += stats;
+    result.stats += stats;
+    result.destination = tail.destinations()[0];
   }
-  result.destination = destination;
 
-  // Regeneration (Section 2.2): replay every stitched segment in parallel so
-  // all nodes learn their position(s).
-  if (record && !segments.empty()) {
-    std::vector<RegenerateProtocol::ForwardJob> forward;
-    std::vector<RegenerateProtocol::ReverseJob> reverse;
-    for (const Segment& s : segments) {
-      if (s.token.kind == WalkKind::kPhase1) {
-        forward.push_back(RegenerateProtocol::ForwardJob{
-            s.from, s.token.seq, s.offset, walk_id});
-      } else {
-        const HeldToken& held = store_.held[s.token.holder][s.token.held_index];
-        reverse.push_back(RegenerateProtocol::ReverseJob{
-            s.token.holder, s.from, s.token.length, held.arrival_slot,
-            s.offset, walk_id});
-      }
-    }
-    RegenerateProtocol regen(g, std::move(forward), std::move(reverse),
-                             trajectories_, positions_);
-    const congest::RunStats regen_stats = net_->run(regen);
-    result.counters.regen = regen_stats;
-    result.stats += regen_stats;
-    total_ += regen_stats;
-  }
+  // This walk's regeneration (Section 2.2).
+  result.counters.regen = run_deferred_regen();
+  result.stats += result.counters.regen;
   return result;
 }
 
@@ -636,29 +511,11 @@ ManyWalksOutput many_random_walks(congest::Network& net,
   StitchEngine engine(net, params, diameter);
   engine.prepare(sources.size(), l);
 
-  if (engine.naive_mode()) {
-    // "If lambda > l then run the naive random walk algorithm, i.e., the
-    // sources find walks of length l simultaneously by sending tokens."
-    out.used_naive_fallback = true;
-    PositionTable positions;
-    if (params.record_trajectories) {
-      positions.resize(net.graph().node_count());
-    }
-    std::vector<NaiveSegmentProtocol::Job> jobs;
-    for (std::uint32_t i = 0; i < sources.size(); ++i) {
-      jobs.push_back(NaiveSegmentProtocol::Job{sources[i], l, i, 0, true});
-    }
-    NaiveSegmentProtocol protocol(
-        net.graph(), std::move(jobs),
-        params.record_trajectories ? &positions : nullptr,
-        params.transition);
-    out.stats = net.run(protocol);
-    out.destinations = protocol.destinations();
-    out.counters.lambda = engine.lambda();
-    out.counters.naive_tail_steps = l * sources.size();
-    out.positions = std::move(positions);
-    return out;
-  }
+  // "If lambda > l then run the naive random walk algorithm, i.e., the
+  // sources find walks of length l simultaneously by sending tokens": in
+  // naive mode every walk below defers whole, so the tail run is exactly
+  // that.
+  out.used_naive_fallback = engine.naive_mode();
 
   // Stitch the k walks one at a time (Section 2.3), but run all the naive
   // tails concurrently at the end -- k independent tail tokens cost

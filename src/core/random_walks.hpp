@@ -109,8 +109,8 @@ class StitchEngine {
   /// destination per deferred walk_id plus the stats. Jobs run in
   /// ascending-walk_id order -- the canonical order is what keeps the
   /// shared-stream tail draws independent of the mux scheduler's task
-  /// completion order (legacy callers already defer in walk_id order, so
-  /// the sort is a no-op for them).
+  /// completion order (walk-at-a-time callers already defer in walk_id
+  /// order, so the sort is a no-op for them).
   struct TailOutcome {
     std::vector<std::uint32_t> walk_ids;
     std::vector<NodeId> destinations;
@@ -120,18 +120,18 @@ class StitchEngine {
 
   // --- Concurrent stitching (congest::ProtocolMux scheduling) ------------
 
-  /// A resumable per-walk stitch driver: the Phase-2 loop of walk_impl
-  /// unrolled into a state machine that exposes each traversal
-  /// (BFS-to-connector, sample convergecast, GET-MORE-WALKS, commit
-  /// broadcast) as a Protocol the caller runs -- solo or as one lane of a
-  /// ProtocolMux -- and then feeds back via advance(). All randomness is
-  /// drawn from the task's own per-node lane streams (keyed by walk_id
-  /// from the network seed), so the walk's outcome is independent of which
-  /// other walks it was co-scheduled with; cross-walk coupling through the
-  /// short-walk store is confined to the per-connector token pools, which
-  /// is exactly what the scheduler's connector-conflict rule serializes.
-  /// The naive tail and regeneration are deferred into the engine's
-  /// batched runs (run_deferred_tails / run_deferred_regen).
+  /// The per-walk stitch driver -- Phase 2 of Algorithm 1 as a resumable
+  /// state machine. Each traversal (BFS-to-connector, sample convergecast,
+  /// GET-MORE-WALKS, commit broadcast) is exposed as a Protocol the caller
+  /// runs and then feeds back via advance(). walk() runs every traversal
+  /// solo on the network's own node streams; the mux scheduler runs it as
+  /// one lane of a ProtocolMux on per-walk lane streams (keyed by walk_id
+  /// from the network seed), so a muxed walk's outcome is independent of
+  /// which other walks it was co-scheduled with. Cross-walk coupling
+  /// through the short-walk store is confined to the per-connector token
+  /// pools, which is exactly what the scheduler's connector-conflict rule
+  /// serializes. The naive tail and regeneration are deferred into the
+  /// engine's batched runs (run_deferred_tails / run_deferred_regen).
   class WalkTask {
    public:
     WalkTask(WalkTask&&) = default;
@@ -144,11 +144,10 @@ class StitchEngine {
     std::uint32_t walk_id() const noexcept { return walk_id_; }
     /// The next traversal to run (valid while !finished()).
     congest::Protocol& protocol() noexcept { return *protocol_; }
-    /// Per-node lane streams for this walk (hand to ProtocolMux::add_lane).
-    std::vector<Rng>& lane_rngs() noexcept { return rngs_; }
-    /// Consumes the completed traversal's per-lane stats and builds the
-    /// next one (or finishes, deferring tail + regeneration jobs).
-    void advance(const congest::RunStats& lane_stats);
+    /// Consumes the completed traversal's stats (the whole run's, or its
+    /// lane's share of a mux run) and builds the next traversal (or
+    /// finishes, deferring tail + regeneration jobs).
+    void advance(const congest::RunStats& stats);
     /// Valid once finished(). The destination is the last connector until
     /// run_deferred_tails() resolves this walk_id's tail.
     const WalkResult& result() const noexcept { return result_; }
@@ -164,20 +163,22 @@ class StitchEngine {
       std::uint64_t offset = 0;
     };
 
+    /// `start_step` offsets every recorded position (continue_walk); the
+    /// source's own position is recorded only when it is 0.
     WalkTask(StitchEngine& engine, NodeId source, std::uint64_t l,
-             std::uint32_t walk_id, bool record_positions);
+             std::uint32_t walk_id, bool record_positions,
+             std::uint64_t start_step);
     void begin_stitch_or_finish();
     void finish();
 
     StitchEngine* engine_ = nullptr;
-    NodeId source_ = kInvalidNode;
     std::uint64_t l_ = 0;
+    std::uint64_t start_step_ = 0;
     std::uint32_t walk_id_ = 0;
     bool record_ = false;
     Step step_ = Step::kDone;
     NodeId current_ = kInvalidNode;
     std::uint64_t completed_ = 0;
-    std::vector<Rng> rngs_;
     std::unique_ptr<congest::Protocol> protocol_;
     /// Heap-held so the address stays stable across WalkTask moves (the
     /// sample/commit protocols keep a pointer into it).
@@ -273,9 +274,6 @@ class StitchEngine {
   PositionTable drain_positions();
 
  private:
-  WalkResult naive_walk_result(NodeId source, std::uint64_t l,
-                               std::uint32_t walk_id, bool record_start,
-                               bool record_positions);
   WalkResult walk_impl(NodeId source, std::uint64_t l, std::uint32_t walk_id,
                        bool defer_tail, std::uint64_t start_step = 0,
                        bool record_positions = true);

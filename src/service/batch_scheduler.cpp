@@ -96,6 +96,8 @@ void BatchScheduler::run_multiplexed(std::span<const Unit> units,
   struct OpenTask {
     core::StitchEngine::WalkTask task;
     const Unit* unit;
+    /// Per-node lane streams for this walk (keyed by walk_id).
+    std::vector<Rng> rngs;
   };
   std::vector<OpenTask> open;  // lane priority: oldest first
   open.reserve(width);
@@ -132,7 +134,9 @@ void BatchScheduler::run_multiplexed(std::span<const Unit> units,
         const Unit& u = units[next_unit++];
         open.push_back(OpenTask{
             engine_->start_walk_task(u.source, u.length, u.walk_id, u.record),
-            &u});
+            &u,
+            congest::ProtocolMux::derive_lane_rngs(net.seed(), u.walk_id,
+                                                   g.node_count())});
         progressed = true;
       }
       if (!progressed) return;
@@ -172,8 +176,7 @@ void BatchScheduler::run_multiplexed(std::span<const Unit> units,
     if (mux.mode == MuxMode::kMux) {
       congest::ProtocolMux pmux(g.node_count());
       for (const std::size_t idx : group) {
-        pmux.add_lane(open[idx].task.protocol(),
-                      &open[idx].task.lane_rngs());
+        pmux.add_lane(open[idx].task.protocol(), &open[idx].rngs);
       }
       // Lane occupancy spans: the whole wave shares one Network run, so
       // each admitted walk's span brackets that run on its own lane track
@@ -205,8 +208,7 @@ void BatchScheduler::run_multiplexed(std::span<const Unit> units,
       // the baseline the lane-isolation tests compare kMux against.
       for (const std::size_t idx : group) {
         congest::ProtocolMux solo(g.node_count());
-        solo.add_lane(open[idx].task.protocol(),
-                      &open[idx].task.lane_rngs());
+        solo.add_lane(open[idx].task.protocol(), &open[idx].rngs);
         obs::event(obs::Name::kWalkLane, 'B', obs::kPidMux, 0,
                    open[idx].unit->walk_id);
         const congest::RunStats stats = net.run_multiplexed(solo, 1);
@@ -235,8 +237,7 @@ BatchScheduler::Outcome BatchScheduler::run(
 
   // A naive-mode engine already batches whole walks into the shared tail
   // run; there is nothing to multiplex.
-  if (mux.mode == MuxMode::kOff || engine_->naive_mode() ||
-      mux.width <= 1) {
+  if (engine_->naive_mode() || mux.width <= 1) {
     run_sequential(units, out);
   } else {
     run_multiplexed(units, mux, out);
@@ -255,8 +256,9 @@ BatchScheduler::Outcome BatchScheduler::run(
     out.results[u.request_index].destinations[u.slot] = tails.destinations[t];
   }
 
-  // Batched regeneration of stitched segments (mux modes defer it; the
-  // legacy path regenerates inside each walk, leaving nothing deferred).
+  // Batched regeneration of stitched segments (width >= 2 defers it; the
+  // sequential path regenerates inside each walk, leaving nothing
+  // deferred).
   out.regen_stats = engine_->run_deferred_regen();
   out.stats += out.regen_stats;
   out.counters.regen += out.regen_stats;

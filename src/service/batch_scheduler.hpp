@@ -11,20 +11,21 @@
 //
 // Concurrent stitching (MuxOptions): the paper's round analysis permits
 // interleaving the BFS/convergecast/broadcast traversals of *different*
-// walks when their connectors do not contend. With mode kMux the scheduler
-// keeps up to `width` walks open as resumable StitchEngine::WalkTasks and,
-// each wave, groups the tasks whose next traversals are pairwise
-// non-conflicting -- the only cross-walk coupling is through the short-walk
-// token pools, which are keyed by connector, so two traversals conflict
-// exactly when their connectors' radius-`conflict_radius` neighborhoods
-// intersect (radius 0, the default, is the precise ownership rule; larger
-// radii are defensive slack). Conflicting tasks wait a wave (fall back to
-// sequential). The group executes as one congest::ProtocolMux inside a
-// single Network::run, widening rounds so the parallel executor's
-// work-stealing pool finally bites; kSerial runs the *same* schedule one
-// lane at a time (the bit-identity baseline tests/test_mux.cpp compares
-// against), and kOff is the legacy walk-at-a-time path, byte-for-byte
-// unchanged.
+// walks when their connectors do not contend. Width 1 (the default) is
+// sequential: each walk runs StitchEngine::walk_deferring_tail, i.e. the
+// WalkTask state machine on the network's own node streams. At width >= 2
+// the scheduler keeps up to `width` walks open as resumable
+// StitchEngine::WalkTasks and, each wave, groups the tasks whose next
+// traversals are pairwise non-conflicting -- the only cross-walk coupling
+// is through the short-walk token pools, which are keyed by connector, so
+// two traversals conflict exactly when their connectors'
+// radius-`conflict_radius` neighborhoods intersect (radius 0, the default,
+// is the precise ownership rule; larger radii are defensive slack).
+// Conflicting tasks wait a wave (fall back to sequential). With mode kMux
+// the group executes as one congest::ProtocolMux inside a single
+// Network::run, widening rounds so the parallel executor's work-stealing
+// pool finally bites; kSerial runs the *same* schedule one lane at a time
+// (the bit-identity baseline tests/test_mux.cpp compares against).
 #pragma once
 
 #include <cstdint>
@@ -36,17 +37,18 @@
 
 namespace drw::service {
 
-/// How the scheduler executes the stitch traversals of a batch.
+/// How the scheduler executes the stitch traversals of a batch at width
+/// >= 2 (width 1 is sequential in either mode).
 enum class MuxMode : std::uint8_t {
-  kOff,     ///< legacy sequential stitching (walk-at-a-time)
   kSerial,  ///< conflict-aware schedule, each lane run solo (mux-of-1)
   kMux,     ///< conflict-aware schedule, each group as one multiplexed run
 };
 
 struct MuxOptions {
-  MuxMode mode = MuxMode::kOff;
-  /// Maximum concurrently open walks (ProtocolMux lanes per group).
-  unsigned width = 8;
+  MuxMode mode = MuxMode::kMux;
+  /// Maximum concurrently open walks (ProtocolMux lanes per group); 1
+  /// stitches walk-at-a-time.
+  unsigned width = 1;
   /// Two traversals conflict when their connectors are within distance
   /// 2 * conflict_radius (their radius-r neighborhoods intersect). 0 --
   /// connector equality -- is exact: token pools are keyed by connector.
@@ -74,7 +76,7 @@ class BatchScheduler {
     /// the per-request stats can legitimately exceed this.
     congest::RunStats stats;
     congest::RunStats tail_stats;        ///< the shared tail run alone
-    congest::RunStats regen_stats;       ///< batched regeneration (mux modes)
+    congest::RunStats regen_stats;       ///< batched regeneration (width >= 2)
     core::WalkCounters counters;         ///< summed over all units
     std::uint64_t walks = 0;
     std::uint64_t mux_groups = 0;        ///< traversal waves executed

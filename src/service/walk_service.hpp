@@ -75,9 +75,10 @@ struct ServiceConfig {
   std::optional<congest::Partition> partition;
   /// Concurrent cross-walk stitching: the number of walks the batch
   /// scheduler may keep open as ProtocolMux lanes (see batch_scheduler.hpp).
-  /// 0 = auto (DRW_MUX env var, else 1); 1 = legacy sequential stitching;
-  /// widths of 2 or more multiplex non-conflicting traversals of that
-  /// many walks into shared Network rounds. Unlike threads/partition,
+  /// 0 = auto (DRW_MUX env var, else 1); 1 = sequential stitching, one
+  /// walk at a time; widths of 2 or more multiplex non-conflicting
+  /// traversals of that many walks into shared Network rounds. Clamped to
+  /// congest::Network::kMaxLanes (see WalkService::mux_width()). Unlike threads/partition,
   /// this changes WHICH exact walks are sampled (all widths are exact
   /// l-step samples; width is part of the seed-reproducibility contract,
   /// like the seed itself).
@@ -130,7 +131,8 @@ struct BatchReport {
   /// Model cost of serving the same requests one naive token walk at a
   /// time (sum of length over all walks; a naive walk is exactly l rounds).
   std::uint64_t naive_rounds_estimate = 0;
-  std::uint32_t mux_width = 0;       ///< lanes the scheduler could open (1 = off)
+  std::uint32_t mux_width = 0;       ///< lanes the scheduler could open
+                                     ///< (1 = sequential)
   std::uint64_t mux_groups = 0;      ///< multiplexed traversal waves executed
   std::uint64_t mux_lanes = 0;       ///< lanes summed over waves (avg width
                                      ///< per wave = mux_lanes / mux_groups)
@@ -192,6 +194,9 @@ class WalkService {
   congest::Network& network() noexcept { return *net_; }
   std::uint32_t diameter() const noexcept { return diameter_; }
   const ServiceConfig& config() const noexcept { return config_; }
+  /// The stitching width every batch runs with: config.mux_width, else
+  /// DRW_MUX, else 1 -- clamped to congest::Network::kMaxLanes.
+  unsigned mux_width() const noexcept { return mux_width_; }
 
   /// Enqueues one request for the next flush(). Never throws: validation
   /// happens at the service boundary in flush(), where invalid requests
@@ -257,6 +262,7 @@ class WalkService {
   congest::Network* net_;
   std::uint32_t diameter_;
   ServiceConfig config_;
+  unsigned mux_width_;
   core::StitchEngine engine_;
   WalkInventory inventory_;
   std::vector<WalkRequest> pending_;

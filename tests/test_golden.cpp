@@ -564,7 +564,8 @@ struct StitchGoldenCase {
   StitchFingerprints expected;
 };
 
-// Captured from the inline Phase-2 stitch loop of StitchEngine::walk_impl.
+// Captured from the inline Phase-2 stitch loop that StitchEngine::walk_impl
+// ran before width-1 walks were driven by the WalkTask state machine.
 const StitchGoldenCase kStitchGolden[] = {
     {Topology::kRegular, TransitionModel::kSimple, "regular/simple",
      {0xe869de19d5203fc6ull, 0xa8e6da2357dce931ull, 0xb0a367bc9e356c82ull,

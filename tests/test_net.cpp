@@ -314,6 +314,22 @@ TEST(WalkServerLoopback, ServedResponsesMatchInProcessReplay) {
   }
 }
 
+// The admission lane floor is the width the scheduler really opens: an
+// oversized mux_width is clamped to the executor's lane limit for both.
+TEST(WalkServerLoopback, LaneFloorIsTheClampedMuxWidth) {
+  csr::LoadedGraph lg;
+  lg.graph = gen::grid(4, 4);
+  congest::Network net_live(lg.graph, 9);
+  ServiceConfig sc;
+  sc.mux_width = 1000;
+  WalkService service(net_live, exact_diameter(lg.graph), sc);
+  EXPECT_EQ(service.mux_width(), congest::Network::kMaxLanes);
+
+  WalkServer server(service, lg, ServerConfig{});
+  EXPECT_EQ(server.queue().config().min_batch_requests,
+            congest::Network::kMaxLanes);
+}
+
 TEST(WalkServerLoopback, InvalidRequestsRejectBeforeAdmission) {
   csr::LoadedGraph lg;
   lg.graph = gen::grid(4, 4);

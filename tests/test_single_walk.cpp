@@ -112,6 +112,31 @@ TEST(SingleWalk, GetMoreWalksPathIsExercisedAndValid) {
   EXPECT_GT(gmw_total, 0u) << "test never exercised GET-MORE-WALKS";
 }
 
+TEST(SingleWalk, ContinuedWalkRecordsOneValidPath) {
+  // continue_walk extends one logical walk: each leg records its steps
+  // offset by start_step and does not re-record its start, in stitched
+  // and in naive mode (lambda > l) alike.
+  const Graph g = gen::grid(4, 4);
+  const std::uint32_t diameter = exact_diameter(g);
+  for (const std::uint32_t lambda : {3u, 64u}) {
+    Params params = Params::paper();
+    params.record_trajectories = true;
+    params.lambda_override = lambda;
+    Network net(g, 77 + lambda);
+    StitchEngine engine(net, params, diameter);
+    engine.prepare(1, 40);
+    EXPECT_EQ(engine.naive_mode(), lambda > 40);
+    WalkResult leg = engine.walk(5, 40, 2);
+    std::uint64_t steps = 40;
+    for (const std::uint64_t l : {25u, 40u}) {
+      leg = engine.continue_walk(leg.destination, l, 2, steps);
+      steps += l;
+    }
+    test::expect_valid_walk(g, engine.positions(), 2, steps, 5,
+                            leg.destination);
+  }
+}
+
 TEST(SingleWalk, Podc09PresetDistributionAlsoExact) {
   const Graph g = gen::cycle(6);
   const MarkovOracle oracle(g);
