@@ -142,6 +142,10 @@ class StitchEngine {
     /// token pool (and BFS root) the next traversal touches.
     NodeId connector() const noexcept { return current_; }
     std::uint32_t walk_id() const noexcept { return walk_id_; }
+    /// True between SAMPLE-DESTINATION and its commit: the sampled token at
+    /// connector() is still marked unused in the store, so no other walk
+    /// may sample at that connector until this task's commit has run.
+    bool holds_sample() const noexcept { return step_ == Step::kCommit; }
     /// The next traversal to run (valid while !finished()).
     congest::Protocol& protocol() noexcept { return *protocol_; }
     /// Consumes the completed traversal's stats (the whole run's, or its

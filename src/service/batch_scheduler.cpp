@@ -145,29 +145,36 @@ void BatchScheduler::run_multiplexed(std::span<const Unit> units,
 
   harvest_and_refill();
   while (!open.empty()) {
-    // Build this wave's group in lane order: a task joins unless its
-    // connector conflicts with one already admitted (then it waits a wave
-    // -- the sequential fallback). The first task always enters, so the
-    // schedule cannot stall.
+    // Build this wave's group: a task joins unless its connector conflicts
+    // with one already admitted (then it waits a wave -- the sequential
+    // fallback). Tasks holding a sampled, uncommitted token are admitted
+    // first: until their commit runs, that token still looks unused to any
+    // other walk sampling at the same connector. The rest follow in lane
+    // order. The first task considered always enters, so the schedule
+    // cannot stall.
     std::vector<std::size_t> group;
     std::vector<NodeId> claimed;
-    for (std::size_t i = 0; i < open.size(); ++i) {
-      const NodeId c = open[i].task.connector();
-      bool conflict = false;
-      for (const NodeId other : claimed) {
-        if (connectors_conflict(g, other, c, mux.conflict_radius,
-                                bfs_scratch)) {
-          conflict = true;
-          break;
+    for (const bool committing : {true, false}) {
+      for (std::size_t i = 0; i < open.size(); ++i) {
+        if (open[i].task.holds_sample() != committing) continue;
+        const NodeId c = open[i].task.connector();
+        bool conflict = false;
+        for (const NodeId other : claimed) {
+          if (connectors_conflict(g, other, c, mux.conflict_radius,
+                                  bfs_scratch)) {
+            conflict = true;
+            break;
+          }
         }
+        if (conflict) {
+          ++out.mux_conflicts;
+          continue;
+        }
+        claimed.push_back(c);
+        group.push_back(i);
       }
-      if (conflict) {
-        ++out.mux_conflicts;
-        continue;
-      }
-      claimed.push_back(c);
-      group.push_back(i);
     }
+    std::sort(group.begin(), group.end());
     ++out.mux_groups;
     out.mux_lanes += group.size();
     obs::Span wave_span(obs::Name::kStitchWave, obs::kPidService, 0,

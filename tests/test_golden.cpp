@@ -15,7 +15,10 @@
 //   * each run's RunStats{rounds, messages, max_backlog};
 //   * the width-1 stitch entry points -- single_random_walk, a
 //     continue_walk chain and a width-1 WalkService -- with their walk
-//     counters (second test).
+//     counters (second test);
+//   * a width-4 WalkService's batch accounting -- group rounds, summed
+//     messages and the wave counters -- and its per-request results (third
+//     test).
 //
 // Simple, lazy and Metropolis walks on a random regular graph, a cycle and
 // a lollipop, at executor widths {1, 2, 8} x both shard partitions. Every
@@ -616,6 +619,156 @@ TEST(Golden, WidthOneStitchEntryPointsMatchPinnedFingerprints) {
   }
   EXPECT_GT(get_more_walks_calls, 0u)
       << "the workloads must exercise GET-MORE-WALKS";
+}
+
+// ------------------------------------------- width-4 multiplexed batch costs
+//
+// A WalkService at mux_width 4: stitch traversals of up to four walks share
+// each wave's rounds, so the batch's cost is the per-wave group cost (rounds
+// the max over its lanes, messages summed), not the sum of the walks' own.
+// test_mux compares the multiplexed schedule against the same schedule run
+// lane by lane, which move together; this pins the absolute batch
+// accounting -- BatchReport.stats (with token_sends), stitches and the
+// wave counters -- plus every request's destinations, paths, stats and
+// counters.
+
+struct MuxFingerprints {
+  std::uint64_t destinations = 0;
+  std::uint64_t requests = 0;
+  std::uint64_t batches = 0;
+  /// Not pinned: workload coverage checks.
+  std::uint64_t get_more_walks_calls = 0;
+  std::uint64_t mux_conflicts = 0;
+
+  bool operator==(const MuxFingerprints& o) const {
+    return destinations == o.destinations && requests == o.requests &&
+           batches == o.batches;
+  }
+};
+
+std::string describe(const MuxFingerprints& f) {
+  char buf[128];
+  std::snprintf(buf, sizeof buf, "{0x%016llxull, 0x%016llxull, 0x%016llxull}",
+                static_cast<unsigned long long>(f.destinations),
+                static_cast<unsigned long long>(f.requests),
+                static_cast<unsigned long long>(f.batches));
+  return buf;
+}
+
+MuxFingerprints run_mux_service(const Graph& g, TransitionModel model,
+                                unsigned threads,
+                                congest::Partition partition) {
+  const std::uint32_t diameter = exact_diameter(g);
+  const bool record = model == TransitionModel::kSimple;
+  core::Params params = core::Params::paper();
+  params.lambda_override = 4;
+  params.eta = 0.5;
+  params.transition = model;
+  params.record_trajectories = record;
+
+  congest::Network net(g, 9104);
+  net.set_threads(threads);
+  net.set_partition(partition);
+  service::ServiceConfig config;
+  config.params = params;
+  config.enable_paths = record;
+  config.mux_width = 4;
+  service::WalkService svc(net, diameter, config);
+  const std::size_t n = g.node_count();
+  MuxFingerprints out;
+  Fnv destinations;
+  Fnv requests;
+  Fnv batches;
+  for (std::uint32_t batch = 0; batch < 2; ++batch) {
+    const auto at = [&](std::uint32_t i) {
+      return static_cast<NodeId>((i * 5 + batch * 2) % n);
+    };
+    // Repeated sources make co-scheduled walks share connectors, so the
+    // conflict rule serializes some traversals.
+    const std::vector<service::WalkRequest> batch_requests = {
+        {at(0), 90, 3, record},
+        {at(1), 64, 2, false},
+        {at(0), 77, 2, record},
+        {at(2), 70, 1, record},
+        {at(3), 5, 2, record},
+        {at(4), 0, 1, false},
+    };
+    const service::BatchReport report = svc.serve(batch_requests);
+    for (const service::RequestResult& r : report.results) {
+      EXPECT_TRUE(r.ok());
+      destinations.add(fingerprint(r.destinations));
+      destinations.add(r.paths.size());
+      for (const std::vector<NodeId>& path : r.paths) {
+        destinations.add(fingerprint(path));
+      }
+      add_stats(requests, r.stats);
+      add_counters(requests, r.counters);
+      out.get_more_walks_calls += r.counters.get_more_walks_calls;
+    }
+    add_stats(batches, report.stats);
+    batches.add(report.stats.token_sends);
+    batches.add(report.stitches);
+    batches.add(report.mux_groups);
+    batches.add(report.mux_lanes);
+    batches.add(report.mux_conflicts);
+    out.mux_conflicts += report.mux_conflicts;
+  }
+  out.destinations = destinations.value();
+  out.requests = requests.value();
+  out.batches = batches.value();
+  return out;
+}
+
+struct MuxGoldenCase {
+  Topology topology;
+  TransitionModel model;
+  const char* name;
+  MuxFingerprints expected;
+};
+
+// Captured while every stitch traversal, the BFS flood and the commit
+// broadcast included, was simulated as a lane of the wave's mux run.
+const MuxGoldenCase kMuxGolden[] = {
+    {Topology::kRegular, TransitionModel::kSimple, "regular/simple",
+     {0x4f23a52137cd6f2eull, 0xb1efd4e095368b9full, 0xee6e8acad3f3f11eull}},
+    {Topology::kRegular, TransitionModel::kLazy, "regular/lazy",
+     {0xfec8a359480864d5ull, 0x3ec1dccb9ab04606ull, 0x7db91a33a228424aull}},
+    {Topology::kCycle, TransitionModel::kSimple, "cycle/simple",
+     {0xcf388aa900a442f2ull, 0x76fe8a05e9e80e1eull, 0x56b2d09ea3063645ull}},
+    {Topology::kCycle, TransitionModel::kLazy, "cycle/lazy",
+     {0xc98cbec67b135e94ull, 0xf97c90539ef17b18ull, 0xd709b93073086c3cull}},
+    {Topology::kLollipop, TransitionModel::kSimple, "lollipop/simple",
+     {0xf3bc1bc96b3f452full, 0x545c35195baa2b57ull, 0x0f8bf6fb3c505770ull}},
+    {Topology::kLollipop, TransitionModel::kMetropolisUniform,
+     "lollipop/metropolis",
+     {0x40e7656653c948dcull, 0xe2ab5b9fc4673ce8ull, 0xe2ad3ec2b078e5d2ull}},
+};
+
+TEST(Golden, WidthFourServiceBatchAccountingMatchesPinnedFingerprints) {
+  const unsigned kThreads[] = {1, 2, 8};
+  const congest::Partition kPartitions[] = {congest::Partition::kEdgeWeighted,
+                                            congest::Partition::kNodeCount};
+  std::uint64_t get_more_walks_calls = 0;
+  std::uint64_t mux_conflicts = 0;
+  for (const MuxGoldenCase& c : kMuxGolden) {
+    const Graph g = make_graph(c.topology);
+    for (const unsigned threads : kThreads) {
+      for (const congest::Partition partition : kPartitions) {
+        const MuxFingerprints got =
+            run_mux_service(g, c.model, threads, partition);
+        get_more_walks_calls += got.get_more_walks_calls;
+        mux_conflicts += got.mux_conflicts;
+        EXPECT_TRUE(got == c.expected)
+            << c.name << " threads=" << threads << " partition="
+            << (partition == congest::Partition::kNodeCount ? "nodes"
+                                                             : "edges")
+            << "\n  got " << describe(got);
+      }
+    }
+  }
+  EXPECT_GT(get_more_walks_calls, 0u)
+      << "the workloads must exercise GET-MORE-WALKS";
+  EXPECT_GT(mux_conflicts, 0u) << "the workloads must exercise conflicts";
 }
 
 }  // namespace

@@ -13,7 +13,9 @@
 //     at a time): same destinations, same recorded paths, same per-request
 //     round/message stats -- across thread counts and partitions.
 //   * Conflict rule: units forced onto the same connector must serialize
-//     (mux_conflicts > 0) and still agree with the serial execution.
+//     (mux_conflicts > 0) and still agree with the serial execution; a
+//     walk's sampled token is committed before another walk samples at
+//     its connector.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -30,6 +32,7 @@
 #include "graph/generators.hpp"
 #include "obs/trace.hpp"
 #include "service/batch_scheduler.hpp"
+#include "service/walk_service.hpp"
 
 namespace drw {
 namespace {
@@ -411,6 +414,53 @@ TEST(Mux, ForcedConflictSerializes) {
   EXPECT_GT(muxed.conflicts, 0u) << "same-connector units must serialize";
   EXPECT_EQ(muxed.destinations, serial.destinations);
   EXPECT_EQ(muxed.request_stats, serial.request_stats);
+}
+
+// A walk holds its sampled token across waves: SAMPLE-DESTINATION runs in
+// one wave and the commit broadcast that marks the token used in a later
+// one. Another walk that reaches the same connector in between must not
+// sample there first -- it would see the token as unused, and two walks
+// could stitch the same short walk ("token already used" at the second
+// commit). Scheduling lanes in plain lane order let a younger-indexed walk
+// do exactly that on this workload (lazy walk, short lambda, repeated
+// sources); committing tasks now claim their connector first.
+TEST(Mux, SampledTokenIsCommittedBeforeItsConnectorIsSampledAgain) {
+  Rng graph_rng(4242);
+  const Graph g = gen::random_regular(48, 4, graph_rng);
+  const std::uint32_t diameter = exact_diameter(g);
+  core::Params params = core::Params::paper();
+  params.lambda_override = 4;
+  params.eta = 0.5;
+  params.transition = TransitionModel::kLazy;
+
+  for (const unsigned threads : {1u, 8u}) {
+    congest::Network net(g, 9104);
+    net.set_threads(threads);
+    service::ServiceConfig config;
+    config.params = params;
+    config.mux_width = 4;
+    service::WalkService svc(net, diameter, config);
+    std::uint64_t stitches = 0;
+    for (std::uint32_t batch = 0; batch < 2; ++batch) {
+      const auto at = [&](std::uint32_t i) {
+        return static_cast<NodeId>((i * 5 + batch * 2) % g.node_count());
+      };
+      const std::vector<service::WalkRequest> requests = {
+          {at(0), 90, 3, false}, {at(1), 64, 2, false},
+          {at(0), 77, 2, false}, {at(2), 70, 1, false},
+          {at(3), 5, 2, false},  {at(4), 0, 1, false},
+      };
+      service::BatchReport report;
+      ASSERT_NO_THROW(report = svc.serve(requests))
+          << "threads=" << threads << " batch=" << batch;
+      for (const service::RequestResult& r : report.results) {
+        EXPECT_TRUE(r.ok());
+        for (const NodeId d : r.destinations) EXPECT_LT(d, g.node_count());
+      }
+      stitches += report.stitches;
+    }
+    EXPECT_GT(stitches, 0u);
+  }
 }
 
 }  // namespace
