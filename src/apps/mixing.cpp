@@ -118,9 +118,8 @@ MixingEstimate estimate_mixing_with_sampler(congest::Network& net,
   congest::ConvergecastSum degree_sq_sum(tree, degrees_sq);
   est.stats += net.run(degree_sq_sum);
   const std::uint64_t sum_deg_sq = degree_sq_sum.root_sum();
-  congest::BroadcastProtocol announce(
+  est.stats += congest::charged_broadcast(
       tree, congest::Message{0, {two_m, 0, 0, 0}}, nullptr);
-  est.stats += net.run(announce);
 
   const std::uint32_t buckets = bucket_count(two_m, options.bucket_ratio);
   est.buckets = buckets;

@@ -126,7 +126,12 @@ struct RunStats {
   /// edge queue; sends staged in a final round that protocol.done() cut
   /// short are discarded untransmitted and do not register here.
   std::uint64_t max_backlog = 0;
-  double wall_ms = 0.0;  ///< wall-clock time inside Network::run
+  /// Wall-clock time inside Network::run. Charged tree sweeps
+  /// (congest::charged_bfs_tree / charged_broadcast, primitives.hpp) run no
+  /// executor: their stats carry the exact rounds / messages / token_sends
+  /// / max_backlog of the simulated protocol and their host time here,
+  /// while compute_ms, transmit_ms, merge_ms, steals and threads stay 0.
+  double wall_ms = 0.0;
   /// Per-phase breakdown of wall_ms, measured on the driver thread around
   /// each phase dispatch. compute_ms + transmit_ms ~= wall_ms minus the
   /// between-phase bookkeeping; exported by the bench JSON reports.

@@ -1,6 +1,7 @@
 #include "congest/primitives.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
 
 namespace drw::congest {
@@ -11,8 +12,8 @@ BfsTreeProtocol::BfsTreeProtocol(const Graph& g, NodeId root) : root_(root) {
   const std::size_t n = g.node_count();
   tree_.root = root;
   tree_.parent.assign(n, kInvalidNode);
-  tree_.children.assign(n, {});
   tree_.depth.assign(n, 0);
+  joins_.assign(n, {});
   joined_.assign(n, 0);
 }
 
@@ -53,7 +54,7 @@ void BfsTreeProtocol::on_round(Context& ctx) {
         break;
       }
       case kJoin:
-        tree_.children[v].push_back(d.from);
+        joins_[v].push_back(d.from);
         break;
       default:
         throw std::logic_error("BfsTreeProtocol: unknown message");
@@ -62,11 +63,17 @@ void BfsTreeProtocol::on_round(Context& ctx) {
 }
 
 BfsTree BfsTreeProtocol::take_tree() {
+  tree_.child_begin.assign(1, 0);
+  tree_.child_list.clear();
   for (std::size_t v = 0; v < joined_.size(); ++v) {
     if (!joined_[v]) {
       throw std::runtime_error("BfsTreeProtocol: graph not connected");
     }
-    std::sort(tree_.children[v].begin(), tree_.children[v].end());
+    std::sort(joins_[v].begin(), joins_[v].end());
+    tree_.child_list.insert(tree_.child_list.end(), joins_[v].begin(),
+                            joins_[v].end());
+    tree_.child_begin.push_back(
+        static_cast<std::uint32_t>(tree_.child_list.size()));
     tree_.height = std::max(tree_.height, tree_.depth[v]);
   }
   return std::move(tree_);
@@ -85,7 +92,7 @@ void BroadcastProtocol::on_round(Context& ctx) {
   const NodeId v = ctx.self();
   auto forward = [&] {
     if (on_receive_) on_receive_(v, payload_);
-    for (NodeId child : tree_->children[v]) ctx.send_to(child, payload_);
+    for (NodeId child : tree_->children(v)) ctx.send_to(child, payload_);
   };
   if (ctx.round() == 0) {
     if (v == tree_->root) forward();
@@ -106,7 +113,7 @@ ConvergecastSum::ConvergecastSum(const BfsTree& tree,
   sent_.assign(n, 0);
   for (std::size_t v = 0; v < n; ++v) {
     pending_children_[v] =
-        static_cast<std::uint32_t>(tree_->children[v].size());
+        static_cast<std::uint32_t>(tree_->children(v).size());
   }
 }
 
@@ -144,7 +151,7 @@ PipelinedVectorUpcast::PipelinedVectorUpcast(
   next_send_.assign(n, 0);
   for (std::size_t v = 0; v < n; ++v) {
     entry_pending_[v].assign(
-        k_, static_cast<std::uint32_t>(tree_->children[v].size()));
+        k_, static_cast<std::uint32_t>(tree_->children(v).size()));
   }
 }
 
@@ -240,10 +247,99 @@ void TokenWalkProtocol::on_round(Context& ctx) {
 
 // ------------------------------------------------------------------ drivers
 
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+double ms_since(Clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - start)
+      .count();
+}
+
+}  // namespace
+
+RunStats charged_bfs_tree(const Graph& g, NodeId root, BfsTree& tree) {
+  const auto start = Clock::now();
+  const std::size_t n = g.node_count();
+  tree.root = root;
+  tree.parent.assign(n, kInvalidNode);
+  tree.depth.assign(n, 0);
+  tree.height = 0;
+  // BFS in level order; child_list doubles as the queue until the children
+  // are laid out. Every candidate parent of a depth-(d + 1) node is dequeued
+  // before any depth-(d + 1) node is, so keeping the smallest one picks the
+  // parent the protocol's level flood picks (the smallest-ID sender of the
+  // first round a LEVEL arrives).
+  std::vector<NodeId>& queue = tree.child_list;
+  queue.assign(1, root);
+  tree.parent[root] = root;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId u = queue[head];
+    const std::uint32_t next = tree.depth[u] + 1;
+    for (const NodeId w : g.neighbors(u)) {
+      if (tree.parent[w] == kInvalidNode) {
+        tree.parent[w] = u;
+        tree.depth[w] = next;
+        queue.push_back(w);
+      } else if (tree.depth[w] == next && u < tree.parent[w]) {
+        tree.parent[w] = u;
+      }
+    }
+  }
+  if (queue.size() != n) {
+    throw std::runtime_error("BfsTreeProtocol: graph not connected");
+  }
+  tree.height = tree.depth[queue.back()];
+
+  // Children as one column: count per parent, prefix-sum to range ends,
+  // then fill each range back to front with v descending, which leaves
+  // child_begin[p] at the range start and every range ascending.
+  tree.child_begin.assign(n + 1, 0);
+  for (NodeId v = 0; v < n; ++v) {
+    if (v != root) ++tree.child_begin[tree.parent[v]];
+  }
+  for (std::size_t v = 1; v <= n; ++v) {
+    tree.child_begin[v] += tree.child_begin[v - 1];
+  }
+  tree.child_list.resize(n - 1);
+  for (NodeId v = static_cast<NodeId>(n); v-- > 0;) {
+    if (v != root) tree.child_list[--tree.child_begin[tree.parent[v]]] = v;
+  }
+
+  RunStats stats;
+  // The root floods in round 0 and each level one round later; a round
+  // counts while it transmits, and every node sends exactly deg(v)
+  // messages (LEVEL to all neighbours but its parent, JOIN to the parent).
+  stats.rounds = n > 1 ? tree.height + 1u : 0u;
+  stats.messages = g.directed_edge_count();
+  stats.token_sends = stats.messages;
+  stats.max_backlog = stats.messages > 0 ? 1 : 0;
+  stats.wall_ms = ms_since(start);
+  return stats;
+}
+
+RunStats charged_broadcast(
+    const BfsTree& tree, Message payload,
+    const std::function<void(NodeId, const Message&)>& on_receive) {
+  const auto start = Clock::now();
+  const std::size_t n = tree.parent.size();
+  payload.type = 1;  // BroadcastProtocol's kDown
+  if (on_receive) {
+    for (NodeId v = 0; v < n; ++v) on_receive(v, payload);
+  }
+  RunStats stats;
+  stats.rounds = tree.height;
+  stats.messages = n - 1;
+  stats.token_sends = token_packable(payload) ? stats.messages : 0;
+  stats.max_backlog = n > 1 ? 1 : 0;
+  stats.wall_ms = ms_since(start);
+  return stats;
+}
+
 BfsTree build_bfs_tree(Network& net, NodeId root, RunStats& stats) {
-  BfsTreeProtocol protocol(net.graph(), root);
-  stats += net.run(protocol);
-  return protocol.take_tree();
+  BfsTree tree;
+  stats += charged_bfs_tree(net.graph(), root, tree);
+  return tree;
 }
 
 }  // namespace drw::congest

@@ -5,15 +5,28 @@
 //   * ConvergecastSum       -- aggregate a per-node word up the tree
 //   * PipelinedVectorUpcast -- aggregate a K-vector up the tree, O(D + K)
 //   * TokenWalkProtocol     -- many simultaneous random-walk tokens with
-//                              emergent congestion (Phase 1 of Algorithm 1)
+//                              emergent congestion (a generic-protocol
+//                              reference of Lemma 2.1's token walks; Phase 1
+//                              itself runs ShortWalkPhaseProtocol on the
+//                              network's token-walk kernel)
 //
 // These correspond to the standard CONGEST toolbox the paper builds on
 // ("constructing a BFS tree clearly takes O(D) rounds", "the standard upcast
 // technique", Appendix A/C).
+//
+// Charged tree sweeps: the BFS flood and the tree broadcast draw no
+// randomness and never congest (every directed edge carries at most one of
+// their messages), so their outcome and exact cost depend only on the graph
+// and the root. charged_bfs_tree() and charged_broadcast() compute both on
+// the host -- one BFS, one pass over the nodes -- and return the RunStats a
+// simulated run would report. Every in-repo driver uses them;
+// BfsTreeProtocol and BroadcastProtocol remain as the reference the tests
+// check them against (tests/test_primitives.cpp).
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "congest/network.hpp"
@@ -21,13 +34,22 @@
 
 namespace drw::congest {
 
-/// A rooted BFS tree: output of BfsTreeProtocol, input to the cast protocols.
+/// A rooted BFS tree: output of BfsTreeProtocol / charged_bfs_tree, input
+/// to the cast protocols.
 struct BfsTree {
   NodeId root = kInvalidNode;
   std::vector<NodeId> parent;                // parent[root] == root
-  std::vector<std::vector<NodeId>> children; // per node
   std::vector<std::uint32_t> depth;          // hops from root
   std::uint32_t height = 0;                  // max depth
+  /// Children of every node in one column: node v's, ascending, are
+  /// child_list[child_begin[v] .. child_begin[v + 1]).
+  std::vector<std::uint32_t> child_begin;    // node count + 1 entries
+  std::vector<NodeId> child_list;            // node count - 1 entries
+
+  std::span<const NodeId> children(NodeId v) const noexcept {
+    return std::span<const NodeId>(child_list.data() + child_begin[v],
+                                   child_list.data() + child_begin[v + 1]);
+  }
 };
 
 /// Floods level messages from the root; each node adopts the smallest-ID
@@ -44,6 +66,7 @@ class BfsTreeProtocol final : public Protocol {
   enum MsgType : std::uint16_t { kLevel = 1, kJoin = 2 };
   NodeId root_;
   BfsTree tree_;
+  std::vector<std::vector<NodeId>> joins_;  ///< per node, as received
   std::vector<std::uint8_t> joined_;
 };
 
@@ -174,8 +197,29 @@ class TokenWalkProtocol final : public Protocol {
   std::vector<std::vector<StoredToken>> stored_;
 };
 
-/// Driver helper: builds a BFS tree rooted at `root`, accumulating rounds
-/// into `stats`.
+/// Charged BfsTreeProtocol: builds into `tree` (reusing its buffers) the
+/// tree the protocol builds from `root` -- each node's parent is its
+/// smallest-ID neighbour one level up, children ascending -- and returns
+/// the RunStats a run of it reports: rounds = height + 1 (0 on a one-node
+/// graph), messages = token_sends = 2m, max_backlog = 1 (0 without
+/// edges). Only wall_ms (the host time) is measured; the executor split
+/// (compute / transmit / merge), steals and threads stay 0, since no
+/// executor ran. Throws std::runtime_error, like the protocol, if some node
+/// is unreachable.
+RunStats charged_bfs_tree(const Graph& g, NodeId root, BfsTree& tree);
+
+/// Charged BroadcastProtocol: calls `on_receive` (if set) once per node
+/// with the payload as the protocol delivers it (type set to its kDown
+/// tag), in ascending node order on the calling thread, and returns the
+/// RunStats a run of it reports: rounds = height, messages = n - 1,
+/// token_sends = messages if the payload packs (message.hpp), else 0,
+/// max_backlog = 1 (0 on a one-node tree); wall_ms only, as above.
+RunStats charged_broadcast(
+    const BfsTree& tree, Message payload,
+    const std::function<void(NodeId, const Message&)>& on_receive);
+
+/// Driver helper: the charged BFS tree rooted at `root` on `net`'s graph,
+/// accumulating its cost into `stats`.
 BfsTree build_bfs_tree(Network& net, NodeId root, RunStats& stats);
 
 }  // namespace drw::congest

@@ -238,7 +238,7 @@ SampleConvergecast::SampleConvergecast(const congest::BfsTree& tree,
   sent_.assign(n, 0);
   for (std::size_t v = 0; v < n; ++v) {
     pending_children_[v] =
-        static_cast<std::uint32_t>(tree_->children[v].size());
+        static_cast<std::uint32_t>(tree_->children(v).size());
   }
 }
 

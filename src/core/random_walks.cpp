@@ -243,7 +243,7 @@ StitchEngine::WalkTask::WalkTask(StitchEngine& engine, NodeId source,
                                  std::uint64_t start_step)
     : engine_(&engine), l_(l), start_step_(start_step), walk_id_(walk_id),
       record_(engine.params_.record_trajectories && record_positions),
-      current_(source) {
+      current_(source), tree_(std::make_unique<congest::BfsTree>()) {
   result_.counters.lambda = engine.lambda_;
   result_.counters.phase1 = engine.pending_phase1_;
   result_.counters.walks_prepared = engine.pending_prepared_;
@@ -261,11 +261,40 @@ StitchEngine::WalkTask::WalkTask(StitchEngine& engine, NodeId source,
 void StitchEngine::WalkTask::begin_stitch_or_finish() {
   // "While length of walk completed is at most l - 2*lambda" (Algorithm 1).
   if (completed_ + 2 * static_cast<std::uint64_t>(engine_->lambda_) <= l_) {
-    protocol_ = std::make_unique<congest::BfsTreeProtocol>(
-        engine_->net_->graph(), current_);
+    protocol_.reset();
     step_ = Step::kBfs;
   } else {
     finish();
+  }
+}
+
+congest::RunStats StitchEngine::WalkTask::charge() {
+  switch (step_) {
+    case Step::kBfs:
+      // Sweep 1: the BFS tree rooted at the connector.
+      return congest::charged_bfs_tree(engine_->net_->graph(), current_,
+                                       *tree_);
+    case Step::kCommit: {
+      // Sweep 3: broadcast down the tree to delete the sampled token at
+      // its holder ("so that this random walk is not reused") and hand the
+      // walk token to it.
+      WalkStore* store = &engine_->store_;
+      const auto held_index = candidate_.held_index;
+      return congest::charged_broadcast(
+          *tree_,
+          congest::Message{0,
+                           {candidate_.holder, candidate_.held_index, 0, 0}},
+          [store, held_index](NodeId at, const congest::Message& m) {
+            if (at != static_cast<NodeId>(m.f[0])) return;
+            auto& held = store->held[at][held_index];
+            if (held.used) {
+              throw std::logic_error("StitchEngine: token already used");
+            }
+            held.used = true;
+          });
+    }
+    default:
+      throw std::logic_error("WalkTask::charge: the next step is simulated");
   }
 }
 
@@ -273,38 +302,19 @@ void StitchEngine::WalkTask::advance(const congest::RunStats& stats) {
   result_.stats += stats;
   result_.counters.phase2 += stats;
   switch (step_) {
-    case Step::kBfs: {
-      auto& bfs = static_cast<congest::BfsTreeProtocol&>(*protocol_);
-      tree_ = std::make_unique<congest::BfsTree>(bfs.take_tree());
+    case Step::kBfs:
       protocol_ = std::make_unique<SampleConvergecast>(*tree_, engine_->store_,
                                                        current_);
       step_ = Step::kSample;
       break;
-    }
     case Step::kSample:
     case Step::kResample: {
       auto& sample = static_cast<SampleConvergecast&>(*protocol_);
       candidate_ = sample.result();
       ++result_.counters.sample_calls;
       if (candidate_.count != 0) {
-        // Sweep 3: broadcast down the tree to delete the sampled token at
-        // its holder ("so that this random walk is not reused") and hand
-        // the walk token to it.
-        WalkStore* store = &engine_->store_;
-        const auto held_index = candidate_.held_index;
-        protocol_ = std::make_unique<congest::BroadcastProtocol>(
-            *tree_,
-            congest::Message{
-                0, {candidate_.holder, candidate_.held_index, 0, 0}},
-            [store, held_index](NodeId at, const congest::Message& m) {
-              if (at != static_cast<NodeId>(m.f[0])) return;
-              auto& held = store->held[at][held_index];
-              if (held.used) {
-                throw std::logic_error("StitchEngine: token already used");
-              }
-              held.used = true;
-            });
-        step_ = Step::kCommit;
+        protocol_.reset();
+        step_ = Step::kCommit;  // charge() commits the sampled token
         break;
       }
       if (step_ == Step::kResample) {
@@ -448,11 +458,12 @@ WalkResult StitchEngine::walk_impl(NodeId source, std::uint64_t l,
     result.counters.naive_tail_steps = l;
     result.destination = source;  // real destination: run_deferred_tails()
   } else {
-    // Phase 2: the stitch state machine, each traversal run solo on the
-    // network's own node streams.
+    // Phase 2: the stitch state machine, each simulated traversal run solo
+    // on the network's own node streams.
     WalkTask task(*this, source, l, walk_id, record_positions, start_step);
     while (!task.finished()) {
-      const congest::RunStats stats = net_->run(task.protocol());
+      const congest::RunStats stats =
+          task.charged() ? task.charge() : net_->run(task.protocol());
       total_ += stats;
       task.advance(stats);
     }

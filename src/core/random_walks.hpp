@@ -122,12 +122,17 @@ class StitchEngine {
 
   /// The per-walk stitch driver -- Phase 2 of Algorithm 1 as a resumable
   /// state machine. Each traversal (BFS-to-connector, sample convergecast,
-  /// GET-MORE-WALKS, commit broadcast) is exposed as a Protocol the caller
-  /// runs and then feeds back via advance(). walk() runs every traversal
-  /// solo on the network's own node streams; the mux scheduler runs it as
-  /// one lane of a ProtocolMux on per-walk lane streams (keyed by walk_id
-  /// from the network seed), so a muxed walk's outcome is independent of
-  /// which other walks it was co-scheduled with. Cross-walk coupling
+  /// GET-MORE-WALKS, commit broadcast) is one step the caller executes and
+  /// then feeds back via advance(). The BFS flood and the commit broadcast
+  /// are CHARGED steps (charged() is true): they draw no randomness and
+  /// never congest, so charge() computes their outcome on the host and
+  /// returns the exact cost a simulated run would report (see
+  /// congest::charged_bfs_tree). The other steps are simulated: the caller
+  /// runs protocol(). walk() runs every simulated traversal solo on the
+  /// network's own node streams; the mux scheduler runs it as one lane of
+  /// a ProtocolMux on per-walk lane streams (keyed by walk_id from the
+  /// network seed), so a muxed walk's outcome is independent of which
+  /// other walks it was co-scheduled with. Cross-walk coupling
   /// through the short-walk store is confined to the per-connector token
   /// pools, which is exactly what the scheduler's connector-conflict rule
   /// serializes. The naive tail and regeneration are deferred into the
@@ -146,11 +151,20 @@ class StitchEngine {
     /// connector() is still marked unused in the store, so no other walk
     /// may sample at that connector until this task's commit has run.
     bool holds_sample() const noexcept { return step_ == Step::kCommit; }
-    /// The next traversal to run (valid while !finished()).
+    /// True when the next traversal is charged, not simulated (valid
+    /// while !finished()).
+    bool charged() const noexcept {
+      return step_ == Step::kBfs || step_ == Step::kCommit;
+    }
+    /// Executes the next, charged traversal on the host and returns its
+    /// cost; pass that to advance() as if the traversal had run.
+    congest::RunStats charge();
+    /// The next, simulated traversal to run (valid while !finished() and
+    /// !charged()).
     congest::Protocol& protocol() noexcept { return *protocol_; }
-    /// Consumes the completed traversal's stats (the whole run's, or its
-    /// lane's share of a mux run) and builds the next traversal (or
-    /// finishes, deferring tail + regeneration jobs).
+    /// Consumes the completed traversal's stats (the whole run's, its
+    /// lane's share of a mux run, or charge()'s) and prepares the next
+    /// traversal (or finishes, deferring tail + regeneration jobs).
     void advance(const congest::RunStats& stats);
     /// Valid once finished(). The destination is the last connector until
     /// run_deferred_tails() resolves this walk_id's tail.
@@ -185,7 +199,8 @@ class StitchEngine {
     std::uint64_t completed_ = 0;
     std::unique_ptr<congest::Protocol> protocol_;
     /// Heap-held so the address stays stable across WalkTask moves (the
-    /// sample/commit protocols keep a pointer into it).
+    /// sample protocol keeps a pointer into it); rebuilt in place by every
+    /// stitch's BFS step.
     std::unique_ptr<congest::BfsTree> tree_;
     SampleConvergecast::Candidate candidate_;
     std::vector<Segment> segments_;

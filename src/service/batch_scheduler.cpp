@@ -40,11 +40,22 @@ bool connectors_conflict(const Graph& g, NodeId a, NodeId b,
   return false;
 }
 
-congest::RunStats lane_run_stats(const congest::ProtocolMux::LaneStats& ls) {
+/// A lane's share of its wave, as a walk's stats record it: the rounds it
+/// was active and the messages it delivered.
+congest::RunStats lane_share(std::uint64_t rounds, std::uint64_t messages) {
   congest::RunStats stats;
-  stats.rounds = ls.rounds;
-  stats.messages = ls.messages;
+  stats.rounds = rounds;
+  stats.messages = messages;
   return stats;
+}
+
+/// Folds one lane's (or one mux run's) cost into its wave: the lanes share
+/// rounds, so the wave lasts as long as its longest lane; messages, sends
+/// and host time add up.
+void add_to_wave(congest::RunStats& wave, const congest::RunStats& lane) {
+  const std::uint64_t rounds = std::max(wave.rounds, lane.rounds);
+  wave += lane;
+  wave.rounds = rounds;
 }
 
 }  // namespace
@@ -180,50 +191,75 @@ void BatchScheduler::run_multiplexed(std::span<const Unit> units,
     obs::Span wave_span(obs::Name::kStitchWave, obs::kPidService, 0,
                         group.size());
 
+    // Charged traversals (BFS flood, commit broadcast) are computed on the
+    // host and keep their place in the wave as lanes of known cost; only
+    // the simulated lanes run on the network.
+    std::vector<congest::RunStats> lane_cost(group.size());
+    std::vector<unsigned> simulated;  // positions in `group`
+    congest::RunStats wave;
+    for (unsigned k = 0; k < group.size(); ++k) {
+      core::StitchEngine::WalkTask& task = open[group[k]].task;
+      if (!task.charged()) {
+        simulated.push_back(k);
+        continue;
+      }
+      const congest::RunStats cost = task.charge();
+      lane_cost[k] = lane_share(cost.rounds, cost.messages);
+      if (mux.mode == MuxMode::kMux) {
+        add_to_wave(wave, cost);
+      } else {
+        wave += cost;
+      }
+    }
+
     if (mux.mode == MuxMode::kMux) {
-      congest::ProtocolMux pmux(g.node_count());
-      for (const std::size_t idx : group) {
-        pmux.add_lane(open[idx].task.protocol(), &open[idx].rngs);
-      }
-      // Lane occupancy spans: the whole wave shares one Network run, so
-      // each admitted walk's span brackets that run on its own lane track
-      // (arg = walk id). Attribution WITHIN the run is the per-round
-      // lane.round instants emitted by ProtocolMux.
-      if (obs::trace_enabled()) {
-        for (unsigned lane = 0; lane < group.size(); ++lane) {
-          obs::event(obs::Name::kWalkLane, 'B', obs::kPidMux,
-                     static_cast<std::uint16_t>(lane),
-                     open[group[lane]].unit->walk_id);
+      if (!simulated.empty()) {
+        congest::ProtocolMux pmux(g.node_count());
+        for (const unsigned k : simulated) {
+          pmux.add_lane(open[group[k]].task.protocol(), &open[group[k]].rngs);
         }
-      }
-      const congest::RunStats stats =
-          net.run_multiplexed(pmux, static_cast<unsigned>(group.size()));
-      if (obs::trace_enabled()) {
-        for (unsigned lane = 0; lane < group.size(); ++lane) {
-          obs::event(obs::Name::kWalkLane, 'E', obs::kPidMux,
-                     static_cast<std::uint16_t>(lane));
+        // Lane occupancy spans: the simulated lanes share one Network run,
+        // so each one's span brackets that run on its own lane track (arg
+        // = walk id). Attribution WITHIN the run is the per-round
+        // lane.round instants emitted by ProtocolMux.
+        if (obs::trace_enabled()) {
+          for (unsigned lane = 0; lane < simulated.size(); ++lane) {
+            obs::event(obs::Name::kWalkLane, 'B', obs::kPidMux,
+                       static_cast<std::uint16_t>(lane),
+                       open[group[simulated[lane]]].unit->walk_id);
+          }
         }
-      }
-      engine_->absorb_stats(stats);
-      out.stats += stats;
-      for (unsigned lane = 0; lane < group.size(); ++lane) {
-        open[group[lane]].task.advance(
-            lane_run_stats(pmux.lane_stats(lane)));
+        add_to_wave(wave, net.run_multiplexed(
+                              pmux, static_cast<unsigned>(simulated.size())));
+        if (obs::trace_enabled()) {
+          for (unsigned lane = 0; lane < simulated.size(); ++lane) {
+            obs::event(obs::Name::kWalkLane, 'E', obs::kPidMux,
+                       static_cast<std::uint16_t>(lane));
+          }
+        }
+        for (unsigned lane = 0; lane < simulated.size(); ++lane) {
+          const congest::ProtocolMux::LaneStats& ls = pmux.lane_stats(lane);
+          lane_cost[simulated[lane]] = lane_share(ls.rounds, ls.messages);
+        }
       }
     } else {
       // kSerial: the SAME schedule, each lane in its own (mux-of-1) run --
       // the baseline the lane-isolation tests compare kMux against.
-      for (const std::size_t idx : group) {
+      for (const unsigned k : simulated) {
         congest::ProtocolMux solo(g.node_count());
-        solo.add_lane(open[idx].task.protocol(), &open[idx].rngs);
+        solo.add_lane(open[group[k]].task.protocol(), &open[group[k]].rngs);
         obs::event(obs::Name::kWalkLane, 'B', obs::kPidMux, 0,
-                   open[idx].unit->walk_id);
-        const congest::RunStats stats = net.run_multiplexed(solo, 1);
+                   open[group[k]].unit->walk_id);
+        wave += net.run_multiplexed(solo, 1);
         obs::event(obs::Name::kWalkLane, 'E', obs::kPidMux, 0);
-        engine_->absorb_stats(stats);
-        out.stats += stats;
-        open[idx].task.advance(lane_run_stats(solo.lane_stats(0)));
+        const congest::ProtocolMux::LaneStats& ls = solo.lane_stats(0);
+        lane_cost[k] = lane_share(ls.rounds, ls.messages);
       }
+    }
+    engine_->absorb_stats(wave);
+    out.stats += wave;
+    for (unsigned k = 0; k < group.size(); ++k) {
+      open[group[k]].task.advance(lane_cost[k]);
     }
     harvest_and_refill();
   }

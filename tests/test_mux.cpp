@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -460,6 +461,45 @@ TEST(Mux, SampledTokenIsCommittedBeforeItsConnectorIsSampledAgain) {
       stitches += report.stitches;
     }
     EXPECT_GT(stitches, 0u);
+  }
+}
+
+// The commit is the store's last line of defence: should two walks ever
+// sample the same token, the first commit marks it used and the second
+// throws instead of stitching the short walk twice. Both walks here start at
+// node 0, whose pool holds exactly one token, and are stepped by hand.
+TEST(Mux, SecondCommitOfOneTokenThrows) {
+  const Graph g = gen::cycle(8);
+  congest::Network net(g, 5);
+  core::Params params = core::Params::paper();
+  params.lambda_override = 2;
+  core::StitchEngine engine(net, params, exact_diameter(g));
+  core::StitchEngine::EngineState state;
+  state.store = core::WalkStore(g.node_count());
+  state.trajectories = core::TrajectoryStore(g.node_count());
+  state.store.held[2].push_back(
+      core::HeldToken{0, 0, 2, core::WalkKind::kPhase1, 0, false});
+  state.lambda = 2;
+  state.prepared_l = 4;
+  engine.adopt_state(std::move(state));
+
+  core::StitchEngine::WalkTask a = engine.start_walk_task(0, 4, 1, false);
+  core::StitchEngine::WalkTask b = engine.start_walk_task(0, 4, 2, false);
+  for (core::StitchEngine::WalkTask* task : {&a, &b}) {
+    ASSERT_TRUE(task->charged());  // sweep 1: the BFS tree
+    task->advance(task->charge());
+    ASSERT_FALSE(task->charged());  // sweep 2: SAMPLE-DESTINATION
+    task->advance(net.run(task->protocol()));
+    ASSERT_TRUE(task->holds_sample());
+  }
+  a.advance(a.charge());
+  EXPECT_TRUE(a.finished());
+  EXPECT_EQ(a.result().destination, 2u);
+  try {
+    b.charge();
+    ADD_FAILURE() << "the second commit of one token must throw";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "StitchEngine: token already used");
   }
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
@@ -41,7 +43,7 @@ TEST(BfsTreeProtocol, ChildrenAreConsistent) {
   const BfsTree tree = build_bfs_tree(net, 0, stats);
   std::size_t child_links = 0;
   for (NodeId v = 0; v < g.node_count(); ++v) {
-    for (NodeId c : tree.children[v]) {
+    for (NodeId c : tree.children(v)) {
       EXPECT_EQ(tree.parent[c], v);
       ++child_links;
     }
@@ -65,6 +67,145 @@ TEST(BroadcastProtocol, ReachesEveryNodeInHeightRounds) {
   for (NodeId v = 0; v < g.node_count(); ++v) EXPECT_EQ(received[v], 1);
   EXPECT_EQ(bstats.rounds, tree.height);  // one round per tree level
   EXPECT_EQ(bstats.messages, g.node_count() - 1);
+}
+
+// ------------------------------------------------------ charged tree sweeps
+//
+// charged_bfs_tree / charged_broadcast replace simulated runs of
+// BfsTreeProtocol / BroadcastProtocol everywhere outside these tests, so
+// their trees, callbacks and costs must equal the protocols' exactly, from
+// every root and at executor widths 1 and 8.
+
+struct SweepGraph {
+  const char* name;
+  Graph graph;
+};
+
+std::vector<SweepGraph> sweep_graphs() {
+  Rng rng(2718);
+  std::vector<SweepGraph> graphs;
+  graphs.push_back({"random_regular(30,4)", gen::random_regular(30, 4, rng)});
+  graphs.push_back({"cycle(9)", gen::cycle(9)});
+  graphs.push_back({"cycle(10)", gen::cycle(10)});
+  graphs.push_back({"path(7)", gen::path(7)});
+  graphs.push_back({"star(9)", gen::star(9)});
+  graphs.push_back({"lollipop(6,5)", gen::lollipop(6, 5)});
+  graphs.push_back({"grid(4,5)", gen::grid(4, 5)});
+  graphs.push_back({"complete(8)", gen::complete(8)});
+  graphs.push_back({"path(1)", gen::path(1)});
+  graphs.push_back({"path(2)", gen::path(2)});
+  return graphs;
+}
+
+void expect_same_cost(const RunStats& charged, const RunStats& simulated,
+                      const std::string& where) {
+  EXPECT_EQ(charged.rounds, simulated.rounds) << where;
+  EXPECT_EQ(charged.messages, simulated.messages) << where;
+  EXPECT_EQ(charged.token_sends, simulated.token_sends) << where;
+  EXPECT_EQ(charged.max_backlog, simulated.max_backlog) << where;
+}
+
+TEST(ChargedSweeps, BfsTreeEqualsTheProtocolFromEveryRoot) {
+  for (const SweepGraph& sg : sweep_graphs()) {
+    const Graph& g = sg.graph;
+    BfsTree charged;  // reused across roots, as a walk reuses its tree
+    for (NodeId root = 0; root < g.node_count(); ++root) {
+      const RunStats cost = charged_bfs_tree(g, root, charged);
+      EXPECT_EQ(cost.compute_ms + cost.transmit_ms + cost.merge_ms, 0.0);
+      EXPECT_GE(cost.wall_ms, 0.0);
+      for (const unsigned threads : {1u, 8u}) {
+        const std::string where = std::string(sg.name) + " root=" +
+                                  std::to_string(root) +
+                                  " threads=" + std::to_string(threads);
+        Network net(g, 41);
+        net.set_threads(threads);
+        BfsTreeProtocol protocol(g, root);
+        const RunStats simulated = net.run(protocol);
+        const BfsTree tree = protocol.take_tree();
+        EXPECT_EQ(charged.root, tree.root) << where;
+        EXPECT_EQ(charged.parent, tree.parent) << where;
+        EXPECT_EQ(charged.depth, tree.depth) << where;
+        EXPECT_EQ(charged.height, tree.height) << where;
+        EXPECT_EQ(charged.child_begin, tree.child_begin) << where;
+        EXPECT_EQ(charged.child_list, tree.child_list) << where;
+        expect_same_cost(cost, simulated, where);
+      }
+    }
+  }
+}
+
+TEST(ChargedSweeps, DisconnectedGraphThrowsLikeTheProtocol) {
+  GraphBuilder builder(5);
+  builder.add_edge(0, 1);
+  builder.add_edge(1, 2);
+  builder.add_edge(3, 4);
+  const Graph g = builder.build();
+  Network net(g, 43);
+  BfsTreeProtocol protocol(g, 0);
+  net.run(protocol);
+  std::string simulated_what;
+  try {
+    protocol.take_tree();
+  } catch (const std::runtime_error& e) {
+    simulated_what = e.what();
+  }
+  std::string charged_what;
+  BfsTree tree;
+  try {
+    charged_bfs_tree(g, 0, tree);
+  } catch (const std::runtime_error& e) {
+    charged_what = e.what();
+  }
+  EXPECT_FALSE(simulated_what.empty());
+  EXPECT_EQ(charged_what, simulated_what);
+}
+
+TEST(ChargedSweeps, BroadcastEqualsTheProtocolFromEveryRoot) {
+  // A payload that packs into a token and one that does not (a word above
+  // 32 bits), so token_sends is checked both ways.
+  const Message payloads[] = {Message{0, {5, 9, 0, 0}},
+                              Message{3, {std::uint64_t{1} << 40, 0, 0, 7}}};
+  for (const SweepGraph& sg : sweep_graphs()) {
+    const Graph& g = sg.graph;
+    const std::size_t n = g.node_count();
+    BfsTree tree;
+    for (NodeId root = 0; root < n; ++root) {
+      charged_bfs_tree(g, root, tree);
+      for (const Message& payload : payloads) {
+        std::vector<std::vector<Message>> charged_got(n);
+        const RunStats cost = charged_broadcast(
+            tree, payload, [&](NodeId v, const Message& m) {
+              charged_got[v].push_back(m);
+            });
+        EXPECT_EQ(charged_broadcast(tree, payload, nullptr).rounds,
+                  cost.rounds);
+        for (const unsigned threads : {1u, 8u}) {
+          const std::string where = std::string(sg.name) + " root=" +
+                                    std::to_string(root) +
+                                    " threads=" + std::to_string(threads);
+          Network net(g, 47);
+          net.set_threads(threads);
+          // Node-indexed writes only: the callback may run on any worker.
+          std::vector<std::vector<Message>> got(n);
+          BroadcastProtocol protocol(tree, payload,
+                                     [&](NodeId v, const Message& m) {
+                                       got[v].push_back(m);
+                                     });
+          const RunStats simulated = net.run(protocol);
+          for (NodeId v = 0; v < n; ++v) {
+            ASSERT_EQ(charged_got[v].size(), got[v].size())
+                << where << " node " << v;
+            for (std::size_t i = 0; i < got[v].size(); ++i) {
+              EXPECT_EQ(charged_got[v][i].type, got[v][i].type) << where;
+              EXPECT_EQ(charged_got[v][i].lane, got[v][i].lane) << where;
+              EXPECT_EQ(charged_got[v][i].f, got[v][i].f) << where;
+            }
+          }
+          expect_same_cost(cost, simulated, where);
+        }
+      }
+    }
+  }
 }
 
 TEST(ConvergecastSum, ComputesTotal) {
