@@ -843,7 +843,8 @@ int cmd_serve(const Args& args, const CliGraph& cg, std::uint32_t diameter) {
           ? 0.0
           : static_cast<double>(life.naive_rounds_estimate) /
                 static_cast<double>(life.stats.rounds));
-  std::printf("executor: %u thread(s), %.1f ms wall inside Network::run "
+  std::printf("executor: %u thread(s), %.1f ms wall in Network::run and "
+              "charged sweeps "
               "(compute %.1f / transmit %.1f / merge %.1f cpu-ms; "
               "%llu chunks stolen; grain %zu, steal chunk %u, %s shards)\n",
               life.stats.threads, life.stats.wall_ms, life.stats.compute_ms,
